@@ -9,9 +9,10 @@ a row only when the affected frontier exceeds a fraction of n.  This
 bench measures both axes:
 
 * **Churn headline (n=512)**: a sequence of single-peer rebinds, each
-  followed by a full ``peer_costs()`` query, run once with dynamic
-  repair and once with ``dynamic_repair=False``.  Asserts the dynamic
-  path is at least ``SPEEDUP_FLOOR``x faster, repairs on average fewer
+  followed by a full ``peer_costs()`` query, run with dynamic repair
+  and with ``dynamic_repair=False``, ``HEADLINE_REPEATS`` interleaved
+  times each (min-of-k).  Asserts the dynamic path is at least
+  ``SPEEDUP_FLOOR``x faster, repairs on average fewer
   than ``REPAIR_RATIO_CEILING`` of the vertices a scratch recompute
   would touch, and produces bit-identical peer costs after every step.
 * **Trajectory identity (n=64)**: max-gain greedy dynamics with dynamic
@@ -22,8 +23,8 @@ bench measures both axes:
 The identity and repair-ratio assertions are hardware-independent
 (stats counters and trajectory keys); the speedup floor is the one
 wall-clock acceptance criterion of this PR and is asserted
-unconditionally at the headline size, where the ~4x measured margin
-leaves ample slack over the 3x floor.
+unconditionally at the headline size, on the minimum of interleaved
+repeats so that one slow timing on a noisy host cannot decide it.
 
 Results go to ``benchmarks/results/e17.txt`` and, machine-readable,
 ``benchmarks/results/e17.json`` (schema: ``docs/benchmarks.md``).
@@ -57,6 +58,11 @@ SPEEDUP_FLOOR = 3.0
 REPAIR_RATIO_CEILING = 0.25
 N_TRAJECTORY = 64
 TRAJECTORY_ROUNDS = 8
+#: Interleaved scratch/dynamic repeats of the headline; each path's time
+#: is its minimum (e21's min-of-k method).  A single timing per path
+#: read 2.6-2.9x in 2 of 5 runs on a noisy 2-vCPU host whose min-of-7
+#: read 3.0-3.3x.
+HEADLINE_REPEATS = 7
 
 
 def _game(n: int) -> TopologyGame:
@@ -114,25 +120,35 @@ def _churn_workload(evaluator, profile: StrategyProfile, moves):
     return outputs
 
 
-def _churn_headline(n: int, rounds: int):
-    """Dynamic vs scratch repair on the churn workload; returns rows."""
+def _churn_headline(n: int, rounds: int, repeats: int = 1):
+    """Dynamic vs scratch repair on the churn workload; returns rows.
+
+    The two paths run ``repeats`` times, interleaved so drift in host
+    speed hits both alike; each path's wall time is its minimum, and
+    every repeat's outputs are compared bit for bit.
+    """
     profile = _connected_profile(n)
     moves = _churn_moves(n, rounds)
 
-    scratch = GameEvaluator(_game(n), dynamic_repair=False)
-    scratch_outputs, scratch_wall = _timed(
-        lambda: _churn_workload(scratch, profile, moves)
-    )
-    scratch_rows = scratch.stats.distance_rows_recomputed
+    scratch_walls, dynamic_walls = [], []
+    for _ in range(repeats):
+        scratch = GameEvaluator(_game(n), dynamic_repair=False)
+        scratch_outputs, wall = _timed(
+            lambda: _churn_workload(scratch, profile, moves)
+        )
+        scratch_walls.append(wall)
+        scratch_rows = scratch.stats.distance_rows_recomputed
 
-    dynamic = GameEvaluator(_game(n))
-    dynamic_outputs, dynamic_wall = _timed(
-        lambda: _churn_workload(dynamic, profile, moves)
-    )
-    stats = dynamic.stats
-    for got, expected in zip(dynamic_outputs, scratch_outputs):
-        np.testing.assert_array_equal(got, expected)
+        dynamic = GameEvaluator(_game(n))
+        dynamic_outputs, wall = _timed(
+            lambda: _churn_workload(dynamic, profile, moves)
+        )
+        dynamic_walls.append(wall)
+        stats = dynamic.stats
+        for got, expected in zip(dynamic_outputs, scratch_outputs):
+            np.testing.assert_array_equal(got, expected)
 
+    scratch_wall, dynamic_wall = min(scratch_walls), min(dynamic_walls)
     speedup = scratch_wall / dynamic_wall
     # A scratch recompute touches all n vertices of every dirty row;
     # the ratio is the fraction of that work the updater actually did.
@@ -286,7 +302,7 @@ def _format_table(rows) -> str:
 def test_dynamic_sssp_report(benchmark):
     """Full report: n=512 churn headline + n=64 trajectory matrix."""
     churn_rows, speedup, repair_ratio, fallbacks = _churn_headline(
-        N_HEADLINE, CHURN_ROUNDS
+        N_HEADLINE, CHURN_ROUNDS, repeats=HEADLINE_REPEATS
     )
     trajectory_rows = _trajectory_matrix(N_TRAJECTORY)
     benchmark.pedantic(
@@ -315,7 +331,8 @@ def test_dynamic_sssp_report(benchmark):
         + "scratch pass would touch"
         + f"\n  verdict : {status}"
         + f"\n  note    : {speedup:.2f}x at n={N_HEADLINE} over "
-        + f"{CHURN_ROUNDS} rebinds; mean repaired fraction "
+        + f"{CHURN_ROUNDS} rebinds (min of {HEADLINE_REPEATS} interleaved "
+        + "repeats per path); mean repaired fraction "
         + f"{repair_ratio:.4f}, {fallbacks} full-row fallbacks; "
         + "trajectories identical across k x store x backend x placement "
         + f"at n={N_TRAJECTORY}\n"

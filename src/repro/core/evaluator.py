@@ -164,6 +164,7 @@ from repro.core.service_store import SharedMemoryStore, make_store
 from repro.core.topology import overlay_from_matrix
 from repro.graphs.digraph import WeightedDigraph
 from repro.graphs.dynamic_sssp import RowRepairer
+from repro.graphs.reachability import reverse_reachable
 from repro.graphs.shortest_paths import (
     blocked_multi_source_distances,
     multi_source_distances,
@@ -488,7 +489,7 @@ class GameEvaluator:
             # reverse index in O(affected edges).
             affected = self._repairer.apply_rebind(overlay, peer, new_out)
         else:
-            affected = self._reverse_reachable(overlay, peer)
+            affected = reverse_reachable(overlay, peer)
             # Splice the overlay in place: only `peer`'s out-edges differ.
             overlay.remove_out_edges(peer)
             for j, w in new_out.items():
@@ -515,23 +516,6 @@ class GameEvaluator:
     def _account_distance(self, delta: int) -> None:
         """Track resident overlay-distance bytes (and their peak)."""
         self.stats.account_distance(delta)
-
-    @staticmethod
-    def _reverse_reachable(overlay: WeightedDigraph, target: int) -> Set[int]:
-        """All nodes with a path *to* ``target`` (including ``target``)."""
-        n = overlay.num_nodes
-        preds: List[List[int]] = [[] for _ in range(n)]
-        for u, v, _w in overlay.edges():
-            preds[v].append(u)
-        seen = {target}
-        frontier = [target]
-        while frontier:
-            node = frontier.pop()
-            for u in preds[node]:
-                if u not in seen:
-                    seen.add(u)
-                    frontier.append(u)
-        return seen
 
     # ------------------------------------------------------------------
     # Distances, stretches, costs

@@ -91,19 +91,14 @@ from repro.core.best_response import (
 )
 from repro.core.cost_model import CostModel, model_from_spec
 from repro.core.costs import stretch_from_distance_rows
-from repro.core.evaluator import GameEvaluator
 from repro.core.profile import StrategyProfile
 from repro.core.service_store import make_store
 from repro.core.sharded import ShardPlan
 from repro.core.topology import overlay_from_matrix
 from repro.graphs.digraph import WeightedDigraph
 from repro.graphs.dynamic_sssp import RowRepairer
+from repro.graphs.reachability import reverse_reachable
 from repro.graphs.shortest_paths import multi_source_distances
-
-#: The coordinator's reverse-reachability BFS, shared (not duplicated):
-#: worker dirty sets agree with the coordinator's *because this is the
-#: same function* — any future change applies to both sides at once.
-_reverse_reachable = GameEvaluator._reverse_reachable
 
 __all__ = [
     "ShardWorkerError",
@@ -215,7 +210,10 @@ class _WorkerState:
         if self.repairer is not None:
             affected = self.repairer.apply_rebind(overlay, peer, new_out)
         else:
-            affected = _reverse_reachable(overlay, peer)
+            # The coordinator's reachability function, shared (not
+            # duplicated): worker dirty sets agree with the coordinator's
+            # because both sides call the same code.
+            affected = reverse_reachable(overlay, peer)
             overlay.remove_out_edges(peer)
             for j, w in new_out.items():
                 overlay.add_edge(peer, j, w)

@@ -164,6 +164,7 @@ def repair_row(
     caller should rebuild the row from scratch.
     """
     inf = math.inf
+    succ = graph._rows()  # successor maps, indexed directly in the loops
     # -- classify the flip batch against this row -----------------------
     seeds: Set[int] = set()
     inserts: List[Tuple[int, int, float]] = []
@@ -219,7 +220,7 @@ def repair_row(
         if v == exclude:
             continue  # the masked graph has no out-edges at ``exclude``
         out = old_out.get(v)
-        successors = out if out is not None else graph.successors(v)
+        successors = out if out is not None else succ[v]
         for x, w in successors.items():
             if x == source or x in affected or x in kept:
                 continue
@@ -257,11 +258,41 @@ def repair_row(
         dist[v] = d
         if v == exclude:
             continue
-        for x, w in graph.successors(v).items():
+        for x, w in succ[v].items():
             nd = d + w
             if nd < dist[x]:
                 heappush(heap, (nd, x))
     return len(affected) + decreased
+
+
+def _touched_rows(
+    block: np.ndarray,
+    positions: Sequence[int],
+    sources: Sequence[int],
+    flips: Sequence[NetFlip],
+) -> np.ndarray:
+    """Which rows ``block[positions[k]]`` a flip batch can change.
+
+    Row ``k`` is untouched when no removed edge ``p -> t`` is tight on
+    it (``dist[p] + w == dist[t]`` with ``dist[p]`` finite and ``t`` not
+    the row's source) and no added edge strictly improves it
+    (``dist[p] + w < dist[t]``).  :func:`repair_row` then finds no seed
+    and pushes no insert: it returns 0 and leaves the row as it is.
+    The test runs the same float64 additions and comparisons as
+    :func:`repair_row`, vectorized over the rows.
+    """
+    rows = np.asarray(positions, dtype=np.intp)
+    row_sources = np.asarray(sources, dtype=np.intp)
+    touched = np.zeros(len(rows), dtype=bool)
+    for flip in flips:
+        dp = block[rows, flip.peer]
+        finite = dp < math.inf
+        for t, w in flip.removed:
+            tight = dp + w == block[rows, t]
+            touched |= finite & tight & (row_sources != t)
+        for t, w in flip.added:
+            touched |= dp + w < block[rows, t]
+    return touched
 
 
 class RowRepairer:
@@ -336,9 +367,10 @@ class RowRepairer:
         """Repair ``block[positions[k]]`` as distances from ``sources[k]``.
 
         Rows are repaired in place against the flips logged since
-        ``cursor``; rows whose affected frontier exceeds the fallback
-        threshold are rebuilt together in one batched multi-source
-        Dijkstra.  Returns ``(vertices_repaired, full_fallbacks)``.
+        ``cursor``; rows :func:`_touched_rows` clears are skipped, and
+        rows whose affected frontier exceeds the fallback threshold are
+        rebuilt together in one batched multi-source Dijkstra.  Returns
+        ``(vertices_repaired, full_fallbacks)``.
         """
         flips = self._log.net_flips(cursor, overlay, exclude)
         if not flips:
@@ -348,7 +380,9 @@ class RowRepairer:
         max_affected = max(4, int(self._fraction * overlay.num_nodes))
         repaired = 0
         fallback: List[int] = []
-        for k, pos in enumerate(positions):
+        touched = _touched_rows(block, positions, sources, flips)
+        for k in np.flatnonzero(touched).tolist():
+            pos = positions[k]
             result = repair_row(
                 block[pos],
                 overlay,

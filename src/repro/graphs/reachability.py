@@ -10,10 +10,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Mapping, Set
 
+import numpy as np
+
 from repro.graphs.digraph import WeightedDigraph
 
 __all__ = [
     "reachable_from",
+    "reverse_reachable",
     "is_strongly_connected",
     "all_pairs_reachable",
     "ReverseIndex",
@@ -33,6 +36,28 @@ def reachable_from(graph: WeightedDigraph, source: int) -> Set[int]:
                 seen.add(v)
                 queue.append(v)
     return seen
+
+
+def reverse_reachable(graph: WeightedDigraph, target: int) -> Set[int]:
+    """Set of nodes with a directed path *to* ``target`` (including it).
+
+    A csgraph breadth-first search from ``target`` over the transpose of
+    the graph's cached CSR.  The search runs on unit weights, so an edge
+    of weight zero (coincident peers) is followed like any other.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import breadth_first_order
+
+    if not 0 <= target < graph.num_nodes:
+        raise IndexError(f"target {target} out of range")
+    csr = graph._cached_csr()
+    structure = csr_matrix(
+        (np.ones(csr.nnz), csr.indices, csr.indptr), shape=csr.shape
+    )
+    order = breadth_first_order(
+        structure.T, target, directed=True, return_predecessors=False
+    )
+    return set(order.tolist())
 
 
 def is_strongly_connected(graph: WeightedDigraph) -> bool:

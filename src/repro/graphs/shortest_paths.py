@@ -55,6 +55,7 @@ def _resolve_backend(backend: str, num_nodes: int) -> str:
 def _dijkstra_pure(graph: WeightedDigraph, source: int) -> np.ndarray:
     """Heap-based Dijkstra from ``source``; returns a dense distance row."""
     n = graph.num_nodes
+    succ = graph._rows()
     dist = np.full(n, math.inf)
     dist[source] = 0.0
     visited = [False] * n
@@ -64,7 +65,7 @@ def _dijkstra_pure(graph: WeightedDigraph, source: int) -> np.ndarray:
         if visited[u]:
             continue
         visited[u] = True
-        for v, w in graph.successors(u).items():
+        for v, w in succ[u].items():
             nd = d + w
             if nd < dist[v]:
                 dist[v] = nd
@@ -78,8 +79,9 @@ def _dijkstra_scipy(
     """scipy csgraph Dijkstra from multiple sources; returns a matrix."""
     from scipy.sparse.csgraph import dijkstra
 
-    csr = graph.to_csr()
-    result = dijkstra(csr, directed=True, indices=list(sources))
+    result = dijkstra(
+        graph._cached_csr(), directed=True, indices=list(sources)
+    )
     return np.atleast_2d(np.asarray(result, dtype=float))
 
 
@@ -157,6 +159,34 @@ def _block_chunks(jobs, budget: int):
         yield chunk
 
 
+def _block_diagonal(graphs: Sequence[WeightedDigraph]):
+    """One block-diagonal CSR matrix of ``graphs``, by offset arithmetic.
+
+    Block ``k``'s column indices shift by the node count of the blocks
+    before it and its row pointers by their edge count; the weights and
+    the order of entries within each row are the block's own.
+    """
+    from scipy.sparse import csr_matrix
+
+    mats = [graph._cached_csr() for graph in graphs]
+    indptr_parts, index_parts = [], []
+    nodes = edges = 0
+    for mat in mats:
+        indptr_parts.append(mat.indptr[:-1] + edges)
+        index_parts.append(mat.indices + nodes)
+        nodes += mat.shape[0]
+        edges += mat.nnz
+    indptr_parts.append(np.array([edges], dtype=np.int32))
+    return csr_matrix(
+        (
+            np.concatenate([mat.data for mat in mats]),
+            np.concatenate(index_parts),
+            np.concatenate(indptr_parts),
+        ),
+        shape=(nodes, nodes),
+    )
+
+
 def blocked_multi_source_distances(
     jobs: Sequence[tuple],
     backend: str = "auto",
@@ -203,15 +233,14 @@ def blocked_multi_source_distances(
             graph, list(sources), backend="scipy"
         )
     if blocked:
-        from scipy.sparse import block_diag
         from scipy.sparse.csgraph import dijkstra
 
         indices = iter([index for index, _job in blocked])
         for chunk in _block_chunks(
             [job for _index, job in blocked], cell_budget
         ):
-            mats = [graph.to_csr() for graph, _sources in chunk]
-            offsets = np.cumsum([0] + [m.shape[0] for m in mats])
+            graphs = [graph for graph, _sources in chunk]
+            offsets = np.cumsum([0] + [graph.num_nodes for graph in graphs])
             stacked_sources = np.concatenate(
                 [
                     np.asarray(list(sources), dtype=np.intp) + offsets[k]
@@ -222,8 +251,11 @@ def blocked_multi_source_distances(
                 for graph, _sources in chunk:
                     out[next(indices)] = np.zeros((0, graph.num_nodes))
                 continue
-            big = block_diag(mats, format="csr")
-            dist = dijkstra(big, directed=True, indices=stacked_sources)
+            dist = dijkstra(
+                _block_diagonal(graphs),
+                directed=True,
+                indices=stacked_sources,
+            )
             dist = np.atleast_2d(np.asarray(dist, dtype=float))
             row = 0
             for k, (_graph, sources) in enumerate(chunk):

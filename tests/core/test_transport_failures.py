@@ -30,6 +30,11 @@ from repro.core.transport import (
 )
 
 
+#: Worker-side delay of the delayed probe ``("ping", delay_s)`` sent
+#: just before a kill: far longer than a kill takes to land.
+PENDING_REPLY_S = 10.0
+
+
 def dmat(n: int = 4) -> np.ndarray:
     rng = np.random.default_rng(0)
     points = rng.uniform(size=(n, 2))
@@ -87,9 +92,11 @@ class TestPipeMessageContract:
         transport = PipeTransport(0, 2, dmat(), "auto")
         try:
             assert transport.request(("ping",)) == "pong"
-            # The request goes on the wire first; the kill lands while
-            # the reply is pending, so recv sees the EOF mid-exchange.
-            transport.send(("ping",))
+            # The request goes on the wire first; the worker holds its
+            # reply for PENDING_REPLY_S, so the kill lands while the
+            # reply is still pending and recv sees the EOF mid-exchange.
+            # (A plain ping can be answered before the kill arrives.)
+            transport.send(("ping", PENDING_REPLY_S))
             transport.kill()
             with pytest.raises(ShardWorkerError, match="died mid-request"):
                 transport.recv()
