@@ -1,35 +1,23 @@
 """E14 benchmark: execution backends for gain-sweep solves + store memory.
 
-PR 2's ``gain_sweep(workers=N)`` threads the independent best-response
-solves, but the GIL caps the win on the numpy-light solver paths.  This
-bench measures the pluggable execution backends end to end on the e13
-workload shape (max-gain engine, greedy solves):
+This bench measures the pluggable execution backends end to end on the
+e13 workload shape (max-gain engine, greedy solves):
 
 * ``serial``   — the reference loop;
-* ``thread``   — persistent thread pool (PR 2's parallelism);
 * ``process``  — persistent process pool attached zero-copy to the
-  evaluator's shared-memory service-matrix store (PR 3).
+  evaluator's shared-memory service-matrix store, one submission of
+  ``ceil(tasks/workers)`` solves per worker per sweep.
 
 plus the **memory ceiling** of the spill store: the same sweep workload
 with the resident W-matrix budget capped at a fraction of the full
 cache, asserting (via ``EvaluatorStats``) that residency never exceeds
 the configured budget while trajectories stay identical.
 
-Honesty note on parallel speedups: the acceptance floor (process >=
-1.5x over thread at n=128) is only *asserted* when the host actually
-has multiple usable cores — both ``len(os.sched_getaffinity)`` (this
-process's mask) and ``os.cpu_count()`` (the machine), and both are
-recorded in the JSON; on a single-core container both pools degenerate
-to serialized execution plus overhead, and the JSON records the
-measured numbers with the floor marked "skipped (single-core host)"
-instead of a fabricated pass.  Trajectory identity is asserted
-unconditionally — that part is hardware-independent.
-
-The backend sweep also measures the per-sweep **task batching** of the
-process pool (default chunks of ``ceil(tasks/workers)`` vs the
-pre-batching ``chunksize=1`` dispatch): one IPC round per worker per
-sweep instead of one per task, recorded as ``task_batching`` in the
-JSON.
+Trajectory identity and the spill ceiling are asserted; they are
+hardware-independent.  The process-over-serial wall-clock ratio is
+recorded in the JSON next to the host's usable cores and
+``os.cpu_count()``, but not asserted: a single-run ratio on a shared
+host is noise-bound, and the layer ledger is where speed is judged.
 
 Results go to ``benchmarks/results/e14.txt`` and, machine-readable,
 ``benchmarks/results/e14.json``.
@@ -42,7 +30,7 @@ import time
 
 import numpy as np
 
-from repro.core.backends import ProcessBackend, SerialBackend, ThreadBackend
+from repro.core.backends import ProcessBackend, SerialBackend
 from repro.core.evaluator import GameEvaluator
 from repro.core.game import TopologyGame
 from repro.core.service_store import SpillStore
@@ -56,7 +44,6 @@ ALPHA = 1.0
 N_HEADLINE = 128
 MAX_ROUNDS = 10
 WORKERS = 4
-SPEEDUP_FLOOR_PROCESS_OVER_THREAD = 1.5
 #: Spill budget for the memory-ceiling section, in service matrices.
 SPILL_BUDGET_MATRICES = 16
 
@@ -105,19 +92,13 @@ def _run_backend(n: int, max_rounds: int, backend, label: str):
 
 def _backend_comparison(n: int, max_rounds: int):
     process = ProcessBackend(workers=WORKERS)
-    # chunksize=1 restores the pre-batching dispatch (one IPC round per
-    # task); the default ceil(tasks/workers) batching amortizes it.
-    unbatched = ProcessBackend(workers=WORKERS, chunksize=1)
     try:
         rows = [
             _run_backend(n, max_rounds, SerialBackend(), "serial"),
-            _run_backend(n, max_rounds, ThreadBackend(WORKERS), "thread"),
             _run_backend(n, max_rounds, process, "process"),
-            _run_backend(n, max_rounds, unbatched, "process-chunk1"),
         ]
     finally:
         process.close()
-        unbatched.close()
     serial = rows[0]
     serial_key = serial["profile_key"]
     for row in rows:
@@ -181,7 +162,7 @@ def _memory_ceiling(n: int, max_rounds: int):
 
 
 def test_process_backend_smoke():
-    """CI-friendly smoke: serial/thread/process identity at n=32."""
+    """CI-friendly smoke: serial/process identity at n=32."""
     rows = _backend_comparison(32, 6)
     assert all(row["identical"] for row in rows)
 
@@ -216,19 +197,8 @@ def test_backend_pool_report(benchmark):
         )
     finally:
         process_pool.close()
-    thread = next(r for r in rows if r["backend"] == "thread")
     process = next(r for r in rows if r["backend"] == "process")
-    unbatched = next(r for r in rows if r["backend"] == "process-chunk1")
-    process_over_thread = thread["wall_s"] / process["wall_s"]
-    batching_speedup = unbatched["wall_s"] / process["wall_s"]
-    # Key the floor on both views of the host: the affinity mask (what
-    # this process may use) and os.cpu_count() (what the machine has).
-    multi_core = cores >= 2 and (os.cpu_count() or 1) >= 2
-    floor_met = process_over_thread >= SPEEDUP_FLOOR_PROCESS_OVER_THREAD
-    if multi_core:
-        acceptance = "SUPPORTED" if floor_met else "NOT SUPPORTED"
-    else:
-        acceptance = "SKIPPED (single-core host)"
+    process_over_serial = process["speedup_vs_serial"]
     text = (
         "E14: Pluggable execution backends (gain-sweep solves) + "
         "service-store memory ceiling\n"
@@ -237,13 +207,10 @@ def test_backend_pool_report(benchmark):
         + "\n  claim   : pool workers attach the service-matrix store"
         " zero-copy; trajectories are backend-independent; spill mode"
         " bounds resident W bytes to the budget"
-        + "\n  verdict : identity+ceiling asserted; speedup floor "
-        + acceptance
-        + f"\n  note    : process-over-thread {process_over_thread:.2f}x"
-        f" at n={N_HEADLINE} greedy (floor"
-        f" {SPEEDUP_FLOOR_PROCESS_OVER_THREAD}x, usable cores: {cores},"
-        f" cpu_count: {os.cpu_count()});"
-        f" task batching {batching_speedup:.2f}x over chunksize=1;"
+        + "\n  verdict : identity+ceiling asserted"
+        + f"\n  note    : process-over-serial {process_over_serial:.2f}x"
+        f" at n={N_HEADLINE} greedy, {WORKERS} workers (recorded, not"
+        f" asserted; usable cores: {cores}, cpu_count: {os.cpu_count()});"
         f" spill ceiling {ceiling['resident_peak_bytes']} <="
         f" {ceiling['budget_bytes']} + 1 matrix of"
         f" {ceiling['full_cache_bytes']} full-cache bytes\n"
@@ -260,20 +227,9 @@ def test_backend_pool_report(benchmark):
             ),
             "usable_cores": cores,
             "cpu_count": os.cpu_count(),
-            "task_batching": {
-                "chunksize_default": -(-((N_HEADLINE - 1)) // WORKERS),
-                "speedup_over_chunksize_1": round(batching_speedup, 3),
-                "wall_s_batched": round(process["wall_s"], 4),
-                "wall_s_chunksize_1": round(unbatched["wall_s"], 4),
-            },
-            "acceptance": {
-                "floor": SPEEDUP_FLOOR_PROCESS_OVER_THREAD,
-                "measured_process_over_thread": round(
-                    process_over_thread, 3
-                ),
-                "asserted": bool(multi_core),
-                "status": acceptance,
-            },
+            "workers": WORKERS,
+            "process_over_serial": round(process_over_serial, 3),
+            "asserted": ["trajectory identity", "spill ceiling"],
             "memory_ceiling": {
                 "budget_bytes": ceiling["budget_bytes"],
                 "resident_peak_bytes": ceiling["resident_peak_bytes"],
@@ -299,8 +255,3 @@ def test_backend_pool_report(benchmark):
     )
     print()
     print(text)
-    if multi_core:
-        assert floor_met, (
-            f"expected process >= {SPEEDUP_FLOOR_PROCESS_OVER_THREAD}x over "
-            f"thread at n={N_HEADLINE}, got {process_over_thread:.2f}x"
-        )

@@ -23,7 +23,7 @@ pins the service's two contracts:
   journal must replay — through the closed-loop epoch engine, on the
   *default* execution harness — to the bit-identical trajectory (digest
   per epoch, move counts, final overlay), whatever harness produced it.
-  Asserted for the serial, threaded, sharded-local and sharded-process
+  Asserted for the serial, sharded-local and sharded-process
   configurations.
 
 Tail latency here is open-loop sojourn time (queue wait + epoch), the
@@ -69,7 +69,6 @@ SPEEDUP_FLOOR_CHURN_MIX = 1.2
 
 CONFIGS = [
     ("serial", {}),
-    ("thread-x2", {"workers": 2, "backend": "thread"}),
     ("sharded-local", {"shards": 2}),
     ("sharded-process", {"shards": 2, "shard_placement": "process"}),
 ]

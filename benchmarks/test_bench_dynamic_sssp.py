@@ -36,7 +36,7 @@ import time
 
 import numpy as np
 
-from repro.core.backends import ProcessBackend, SerialBackend, ThreadBackend
+from repro.core.backends import ProcessBackend, SerialBackend
 from repro.core.evaluator import GameEvaluator
 from repro.core.game import TopologyGame
 from repro.core.profile import StrategyProfile
@@ -218,7 +218,7 @@ def _trajectory_matrix(n: int):
         ("dynamic,unsharded,serial,memory", None, SerialBackend(), "memory"),
         ("dynamic,local-k=1,serial,memory", ("local", 1), SerialBackend(),
          "memory"),
-        ("dynamic,local-k=2,thread,memory", ("local", 2), ThreadBackend(2),
+        ("dynamic,local-k=2,serial,memory", ("local", 2), SerialBackend(),
          "memory"),
         ("dynamic,local-k=4,serial,spill", ("local", 4), SerialBackend(),
          tight_spill),

@@ -14,7 +14,8 @@ from-scratch paths on random Euclidean instances at n in {16, 32, 64}:
 Both comparisons assert identical trajectories (same final profile,
 same stop reason, same move count) and the flip-dynamics comparison
 asserts the >= 5x speedup at n = 64 required by the evaluator's
-acceptance criteria.  Results are persisted to
+acceptance criteria, timing each side of that case as the fastest of
+``FLIP_REPEATS`` interleaved runs.  Results are persisted to
 ``benchmarks/results/e12.txt``.
 """
 
@@ -34,6 +35,10 @@ from benchmarks.conftest import RESULTS_DIR, perf_entry, write_json_results
 
 #: (n, max_rounds) — rounds shrink with n so every naive run stays bounded.
 FLIP_CASES = [(16, 30), (32, 8), (64, 3)]
+#: Naive/cached pairs for the gated n = 64 flip case, run interleaved on
+#: a fresh game each; each side keeps its fastest run, so one host stall
+#: cannot decide the 5x gate.
+FLIP_REPEATS = 2
 MAX_GAIN_CASES = [(16, 40), (32, 20), (64, 8)]
 SEED = 42
 ALPHA = 1.0
@@ -52,20 +57,24 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
-def _run_flip_case(n: int, max_rounds: int) -> dict:
-    game = _game(n)
-    naive, naive_s = _timed(
-        lambda: BetterResponseDynamics(game, incremental=False).run(
-            max_rounds=max_rounds
+def _run_flip_case(n: int, max_rounds: int, repeats: int = 1) -> dict:
+    naive_s = cached_s = float("inf")
+    for _ in range(repeats):
+        game = _game(n)
+        naive, elapsed = _timed(
+            lambda: BetterResponseDynamics(game, incremental=False).run(
+                max_rounds=max_rounds
+            )
         )
-    )
-    cached, cached_s = _timed(
-        lambda: BetterResponseDynamics(game).run(max_rounds=max_rounds)
-    )
-    assert cached.profile.key() == naive.profile.key()
-    assert cached.stopped_reason == naive.stopped_reason
-    assert cached.num_moves == naive.num_moves
-    assert cached.rounds_completed == naive.rounds_completed
+        naive_s = min(naive_s, elapsed)
+        cached, elapsed = _timed(
+            lambda: BetterResponseDynamics(game).run(max_rounds=max_rounds)
+        )
+        cached_s = min(cached_s, elapsed)
+        assert cached.profile.key() == naive.profile.key()
+        assert cached.stopped_reason == naive.stopped_reason
+        assert cached.num_moves == naive.num_moves
+        assert cached.rounds_completed == naive.rounds_completed
     return {
         "scenario": f"flip-rr(n={n})",
         "naive_s": naive_s,
@@ -129,7 +138,10 @@ def test_flip_dynamics_cached_matches_naive_smoke(n, max_rounds):
 
 def test_evaluator_speedup_report(benchmark):
     """Full sweep: record naive-vs-cached timings and pin the 5x target."""
-    rows = [_run_flip_case(n, rounds) for n, rounds in FLIP_CASES]
+    rows = [
+        _run_flip_case(n, rounds, FLIP_REPEATS if n == 64 else 1)
+        for n, rounds in FLIP_CASES
+    ]
     rows += [_run_max_gain_case(n, rounds) for n, rounds in MAX_GAIN_CASES]
     # Register the headline scenario with pytest-benchmark (single round:
     # this is an experiment harness, not a microbenchmark).

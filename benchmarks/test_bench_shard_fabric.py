@@ -7,15 +7,17 @@ before collecting any reply, so a broadcast costs one worker's round
 trip plus the slowest handler instead of ``k`` round trips.  This bench
 measures both halves of that claim:
 
-* **Fan-out speedup** (the headline): pipelined vs sequential broadcast
-  at ``k=4`` on both transports.  Per-request latency is made
+* **Fan-out speedup** (the headline): the pipelined broadcast at
+  ``k=4`` on both transports against ``k × delay``, the least any
+  sequential schedule must pay.  Per-request latency is made
   *protocol-bound* with the worker-side latency probe
   (``pool.ping(delay)`` — each worker holds its reply for ``delay``
   seconds, standing in for the cross-host wire latency the socket
   transport exists for; the workers delay concurrently, exactly like
-  network RTTs would overlap).  Because the delay is slept worker-side,
-  the >= 1.5x acceptance floor holds on any host, single-core included
-  — it is asserted **unconditionally**.
+  network RTTs would overlap, while a request-by-request schedule
+  sleeps through all ``k`` delays back to back).  Because the delay is
+  slept worker-side, the >= 1.5x acceptance floor holds on any host,
+  single-core included — it is asserted **unconditionally**.
 * **Socket-vs-pipe per-op overhead**: raw (no-probe) per-op wall time
   for ``ping`` (pure protocol) and ``rows`` (bulk ndarray frames) on
   both transports, recording what the framing codec + TCP/Unix stream
@@ -87,23 +89,22 @@ def _best_of(fn, repeats: int = 3) -> float:
 
 
 def _fanout_row(pool: ShardWorkerPool, transport: str) -> dict:
-    """Pipelined vs sequential broadcast under the latency probe."""
+    """Pipelined broadcast under the latency probe vs ``k × delay``."""
     pool.ping()  # warm every stream
-    timings = {}
-    for pipelined in (True, False):
-        pool.pipelined = pipelined
-        timings[pipelined] = _best_of(
-            lambda: [pool.ping(PROBE_DELAY_S) for _ in range(PROBE_ROUNDS)]
-        ) / PROBE_ROUNDS
-    pool.pipelined = True
-    speedup = timings[False] / timings[True]
+    pipelined_s = _best_of(
+        lambda: [pool.ping(PROBE_DELAY_S) for _ in range(PROBE_ROUNDS)]
+    ) / PROBE_ROUNDS
+    # Any schedule that waits for one reply before sending the next
+    # request sleeps through every worker's delay: k × delay is a lower
+    # bound on its broadcast, before any protocol cost.
+    sequential_bound_s = pool.num_workers * PROBE_DELAY_S
     return {
         "transport": transport,
         "k": pool.num_workers,
         "probe_delay_ms": PROBE_DELAY_S * 1e3,
-        "pipelined_ms": timings[True] * 1e3,
-        "sequential_ms": timings[False] * 1e3,
-        "speedup": speedup,
+        "pipelined_ms": pipelined_s * 1e3,
+        "sequential_bound_ms": sequential_bound_s * 1e3,
+        "speedup": sequential_bound_s / pipelined_s,
     }
 
 
@@ -204,8 +205,8 @@ def test_shard_fabric_report(benchmark):
     for row in fanout:
         lines.append(
             f"  {row['transport']:>6}: pipelined {row['pipelined_ms']:6.2f}ms"
-            f"  sequential {row['sequential_ms']:6.2f}ms"
-            f"  speedup {row['speedup']:4.2f}x"
+            f"  sequential >= {row['sequential_bound_ms']:6.2f}ms (k x delay)"
+            f"  speedup >= {row['speedup']:4.2f}x"
         )
     lines.append("")
     lines.append("raw per-op wall time (same host, no probe):")
@@ -222,7 +223,8 @@ def test_shard_fabric_report(benchmark):
         f"{identity['coordinator_resident_peak_bytes']} bytes",
         "",
         "E18: pipelined fan-out + socket shard placement",
-        "  claim   : broadcasts cost one protocol-bound round trip, not k;"
+        "  claim   : broadcasts cost one protocol-bound round trip, under"
+        " the k x delay any sequential schedule pays;"
         " socket placement reproduces trajectories exactly with zero"
         " coordinator-resident distance bytes",
         "  verdict : "
@@ -254,6 +256,8 @@ def test_shard_fabric_report(benchmark):
                     "worker-side latency probe makes broadcasts "
                     "protocol-bound on any host"
                 ),
+                "baseline": "k x probe delay (lower bound of any "
+                "sequential schedule)",
                 "measured": {
                     row["transport"]: round(row["speedup"], 3)
                     for row in fanout
@@ -263,7 +267,7 @@ def test_shard_fabric_report(benchmark):
                 {
                     **row,
                     "pipelined_ms": round(row["pipelined_ms"], 4),
-                    "sequential_ms": round(row["sequential_ms"], 4),
+                    "sequential_bound_ms": round(row["sequential_bound_ms"], 4),
                     "speedup": round(row["speedup"], 3),
                 }
                 for row in fanout
@@ -282,10 +286,10 @@ def test_shard_fabric_report(benchmark):
                     f"fanout(k={K},transport={row['transport']})",
                     N,
                     "ping-probe",
-                    row["sequential_ms"] / 1e3,
+                    row["pipelined_ms"] / 1e3,
                     row["speedup"],
                     transport=row["transport"],
-                    pipelined_ms=round(row["pipelined_ms"], 4),
+                    sequential_bound_ms=round(row["sequential_bound_ms"], 4),
                 )
                 for row in fanout
             ],
@@ -296,6 +300,6 @@ def test_shard_fabric_report(benchmark):
     for row in fanout:
         assert row["speedup"] >= SPEEDUP_FLOOR_PIPELINED, (
             f"{row['transport']}: pipelined broadcast only "
-            f"{row['speedup']:.2f}x over sequential at k={K} "
+            f"{row['speedup']:.2f}x under k x delay at k={K} "
             f"(floor {SPEEDUP_FLOOR_PIPELINED}x)"
         )

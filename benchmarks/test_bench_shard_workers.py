@@ -36,7 +36,7 @@ import time
 
 import numpy as np
 
-from repro.core.backends import ProcessBackend, SerialBackend, ThreadBackend
+from repro.core.backends import ProcessBackend, SerialBackend
 from repro.core.evaluator import GameEvaluator
 from repro.core.game import TopologyGame
 from repro.core.profile import StrategyProfile
@@ -214,7 +214,7 @@ def _trajectory_matrix(n: int):
         ("unsharded,serial,memory", None, SerialBackend(), "memory"),
         ("process-k=1,serial,memory", 1, SerialBackend(), "memory"),
         ("process-k=2,serial,memory", 2, SerialBackend(), "memory"),
-        ("process-k=4,thread,memory", 4, ThreadBackend(2), "memory"),
+        ("process-k=4,serial,memory", 4, SerialBackend(), "memory"),
         ("process-k=4,serial,spill", 4, SerialBackend(), tight_spill),
         ("process-k=2,process,auto-shared", 2, solver_pool, "memory"),
     ]

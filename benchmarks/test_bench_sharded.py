@@ -33,7 +33,7 @@ import time
 
 import numpy as np
 
-from repro.core.backends import ProcessBackend, SerialBackend, ThreadBackend
+from repro.core.backends import ProcessBackend, SerialBackend
 from repro.core.evaluator import GameEvaluator
 from repro.core.game import TopologyGame
 from repro.core.profile import StrategyProfile
@@ -187,7 +187,7 @@ def _trajectory_matrix(n: int):
     combos = [
         ("unsharded,serial,memory", None, SerialBackend(), "memory"),
         ("shards=2,serial,memory", 2, SerialBackend(), "memory"),
-        ("shards=4,thread,memory", 4, ThreadBackend(2), "memory"),
+        ("shards=4,serial,memory", 4, SerialBackend(), "memory"),
         ("shards=4,serial,spill", 4, SerialBackend(), tight_spill),
         ("shards=2,process,auto-shared", 2, process, "memory"),
     ]

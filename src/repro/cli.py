@@ -84,21 +84,22 @@ def _add_execution_flags(command) -> None:
         type=_positive_int,
         default=1,
         help=(
-            "worker count for batched response solves (forwarded to "
-            "experiments that support it; 1 = serial)"
+            "process-pool size for batched response solves (needs "
+            "--backend process; forwarded to experiments that support "
+            "it; default 1)"
         ),
     )
     command.add_argument(
         "--backend",
-        choices=("serial", "thread", "process", "shard"),
+        choices=("serial", "process", "shard"),
         default=None,
         help=(
-            "execution backend for those solves: 'thread' shares the "
-            "caches under the GIL, 'process' runs a worker pool over a "
-            "shared-memory service-matrix store (needs --workers >= 2), "
-            "'shard' routes each solve to the shard worker owning the "
-            "peer (needs --shard-placement process or socket); "
-            "default: thread pool iff --workers > 1"
+            "execution backend for batched response solves: 'serial' "
+            "(the default) solves in this process, 'process' runs a "
+            "worker pool over a shared-memory service-matrix store "
+            "(needs --workers >= 2), 'shard' routes each solve to the "
+            "shard worker owning the peer (needs --shard-placement "
+            "process or socket)"
         ),
     )
     command.add_argument(
@@ -191,6 +192,11 @@ def _check_execution_flags(args, parser: argparse.ArgumentParser) -> None:
             "--backend process needs --workers >= 2: a single-worker "
             "process pool only adds IPC overhead over a serial run "
             "(use --backend serial, or raise --workers)"
+        )
+    if getattr(args, "backend", None) != "process" and args.workers > 1:
+        parser.error(
+            f"--workers {args.workers} sizes a process pool: add "
+            "--backend process (other backends solve without a pool)"
         )
     shards = getattr(args, "shards", None)
     placement = getattr(args, "shard_placement", None)
@@ -535,7 +541,7 @@ def _cmd_demo(params: dict) -> int:
     placement = params["shard_placement"]
     print(
         f"3. Batched max-gain sweeps (n=32, alpha=1, workers={workers}, "
-        f"backend={backend or 'auto'}, shards={shards or 'unsharded'}"
+        f"backend={backend or 'serial'}, shards={shards or 'unsharded'}"
         f"{f', placement={placement}' if placement else ''}):"
     )
     sweep_game = TopologyGame(

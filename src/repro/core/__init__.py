@@ -98,7 +98,6 @@ from repro.core.backends import (
     ProcessBackend,
     SerialBackend,
     SolverBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.core.service_store import (
@@ -121,7 +120,6 @@ __all__ = [
     "TopologyGame",
     "SolverBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "resolve_backend",
     "ServiceStore",

@@ -9,10 +9,6 @@ one, so it lives behind a tiny protocol:
 :class:`SerialBackend`
     Plain loop in the calling thread (the default; byte-identical to
     the pre-backend engine).
-:class:`ThreadBackend`
-    A persistent :class:`~concurrent.futures.ThreadPoolExecutor`.  Wins
-    are capped by the GIL on the numpy-light solver paths, but threads
-    share every cache for free.
 :class:`ProcessBackend`
     A persistent :class:`~concurrent.futures.ProcessPoolExecutor` whose
     workers *attach* to the evaluator's shareable
@@ -20,15 +16,19 @@ one, so it lives behind a tiny protocol:
     file windows) and solve against the parent's pages directly — tasks
     carry ``(store_handle, peer, strategy, profile_digest)``, never the
     ``W`` matrix itself, so dispatch cost is independent of ``n``.
+``"shard"``
+    :class:`~repro.core.shard_workers.ShardSolverBackend` ships each
+    solve to the shard worker that owns the peer.
 
 Every backend runs the same pure function
 (:func:`~repro.core.best_response.best_response_from_service`) on the
 same bytes, so results — and therefore dynamics trajectories — are
 identical across backends and worker counts.  The test-suite pins this.
 
-Backends are resolved once per engine (:func:`resolve_backend`) so the
+Backends are resolved once per driver (:func:`resolve_backend`) so the
 pools persist across sweeps; ``close()`` (or garbage collection) tears
-the pools down.
+the pools down.  ``workers`` sizes the process pool only: it is the one
+backend that runs solves concurrently.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from repro.core.service_store import attach_service_weights
 __all__ = [
     "SolverBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
     "resolve_backend",
     "BACKEND_SPECS",
@@ -56,7 +55,7 @@ __all__ = [
 #: ``"shard"`` routes solves to shard worker processes/servers (see
 #: :class:`~repro.core.shard_workers.ShardSolverBackend`) and needs a
 #: sharded evaluator with ``shard_placement`` ``"process"``/``"socket"``.
-BACKEND_SPECS = ("serial", "thread", "process", "shard")
+BACKEND_SPECS = ("serial", "process", "shard")
 
 #: A picklable solve task: ``(store_handle, peer, strategy, alpha,
 #: method, profile_digest)``.  The digest identifies which bound profile
@@ -87,9 +86,6 @@ class SolverBackend:
     #: handle is attached to the tasks.
     wants_tasks = False
 
-    def __init__(self, workers: int = 1) -> None:
-        self.workers = max(1, int(workers))
-
     def run_solves(
         self,
         peers: Sequence[int],
@@ -101,58 +97,11 @@ class SolverBackend:
     def close(self) -> None:
         """Release pool resources (no-op for poolless backends)."""
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}(workers={self.workers})"
-
 
 class SerialBackend(SolverBackend):
     """Solve in the calling thread — the reference execution order."""
 
     name = "serial"
-
-
-class ThreadBackend(SolverBackend):
-    """Thread-pool solves sharing the caller's caches (GIL-capped)."""
-
-    name = "thread"
-
-    def __init__(self, workers: int = 2) -> None:
-        super().__init__(workers)
-        self._pool = None
-        self._finalizer: Optional[weakref.finalize] = None
-
-    def _executor(self):
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.workers,
-                thread_name_prefix="repro-solver",
-            )
-            self._finalizer = weakref.finalize(
-                self, ThreadBackend._shutdown, self._pool
-            )
-        return self._pool
-
-    @staticmethod
-    def _shutdown(pool) -> None:
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def run_solves(
-        self,
-        peers: Sequence[int],
-        solve_local: Callable[[int], BestResponseResult],
-        make_task: Optional[Callable[[int], SolveTask]] = None,
-    ) -> List[BestResponseResult]:
-        if len(peers) <= 1 or self.workers <= 1:
-            return [solve_local(peer) for peer in peers]
-        return list(self._executor().map(solve_local, peers))
-
-    def close(self) -> None:
-        if self._finalizer is not None:
-            self._finalizer()
-            self._pool = None
-            self._finalizer = None
 
 
 # ----------------------------------------------------------------------
@@ -173,18 +122,22 @@ def _candidates_of(peer: int, n: int) -> Tuple[int, ...]:
     return cached
 
 
-def solve_service_task(task: SolveTask) -> BestResponseResult:
-    """Pool-worker entry point: attach the matrix, solve, return.
+def solve_service_tasks(tasks: Sequence[SolveTask]) -> List[BestResponseResult]:
+    """Pool-worker entry point: attach each matrix, solve, return.
 
-    The matrix bytes never cross the pipe — only the handle does; the
-    worker maps the owner's shared-memory segment / spill-file window
-    (cached per process) and runs the same pure solver the serial
-    backend runs.
+    One call solves one worker's share of a sweep.  The matrix bytes
+    never cross the pipe — only the handles do; the worker maps the
+    owner's shared-memory segment / spill-file window (cached per
+    process) and runs the same pure solver the serial backend runs.
     """
-    handle, peer, strategy, alpha, method, _digest = task
-    weights = attach_service_weights(handle)
-    service = ServiceCosts(peer, _candidates_of(peer, weights.shape[1]), weights)
-    return best_response_from_service(service, strategy, alpha, method)
+    results = []
+    for handle, peer, strategy, alpha, method, _digest in tasks:
+        weights = attach_service_weights(handle)
+        service = ServiceCosts(
+            peer, _candidates_of(peer, weights.shape[1]), weights
+        )
+        results.append(best_response_from_service(service, strategy, alpha, method))
+    return results
 
 
 class ProcessBackend(SolverBackend):
@@ -201,15 +154,8 @@ class ProcessBackend(SolverBackend):
     name = "process"
     distributed = True
 
-    def __init__(
-        self, workers: int = 2, chunksize: Optional[int] = None
-    ) -> None:
-        super().__init__(workers)
-        #: Tasks per pool dispatch.  ``None`` batches each sweep into
-        #: ``ceil(tasks / workers)`` groups — one round of chunks, so a
-        #: small-n sweep pays ``workers`` IPC round trips instead of one
-        #: per task.  Pass an explicit value (e.g. 1) to override.
-        self.chunksize = chunksize
+    def __init__(self, workers: int = 2) -> None:
+        self.workers = max(1, int(workers))
         self._pool = None
         self._finalizer: Optional[weakref.finalize] = None
 
@@ -249,18 +195,18 @@ class ProcessBackend(SolverBackend):
                 "must expose a shareable service store"
             )
         tasks = [make_task(peer) for peer in peers]
-        chunksize = self.chunksize
-        if chunksize is None:
-            # Per-sweep batching: ceil(tasks / workers) puts every
-            # worker's share in a single submission, which amortizes the
-            # per-task executor/pickle overhead that dominates small-n
-            # sweeps.  The solves stay independent pure functions, so
-            # grouping cannot change any result.
-            chunksize = -(-len(tasks) // self.workers)
-        chunksize = max(1, int(chunksize))
-        return list(
-            self._executor().map(solve_service_task, tasks, chunksize=chunksize)
-        )
+        # Per-sweep batching: ceil(tasks / workers) consecutive tasks per
+        # submission puts every worker's share in one round trip, which
+        # amortizes the per-task executor/pickle overhead that dominates
+        # small-n sweeps.  The solves stay independent pure functions,
+        # so grouping cannot change any result.
+        share = -(-len(tasks) // self.workers)
+        shares = [tasks[lo : lo + share] for lo in range(0, len(tasks), share)]
+        return [
+            result
+            for solved in self._executor().map(solve_service_tasks, shares)
+            for result in solved
+        ]
 
     def close(self) -> None:
         if self._finalizer is not None:
@@ -273,19 +219,23 @@ class ProcessBackend(SolverBackend):
 def resolve_backend(spec, workers: int = 1) -> SolverBackend:
     """Normalize a backend spec into a :class:`SolverBackend` instance.
 
-    ``None`` preserves the legacy ``workers=N`` behavior: a thread pool
-    when ``workers > 1``, else serial.  Strings name the standard
-    backends (:data:`BACKEND_SPECS`), sized by ``workers``; instances
-    pass through unchanged (their own worker count wins).
+    ``spec`` is ``None`` (serial), one of :data:`BACKEND_SPECS`, or a
+    :class:`SolverBackend` instance, which passes through unchanged.
+    ``workers`` sizes the ``"process"`` pool and nothing else: asking
+    for ``workers > 1`` with any other spec raises :class:`ValueError`
+    instead of quietly running serial.
     """
+    if int(workers) > 1 and spec != "process":
+        raise ValueError(
+            f"workers={workers} sizes a process pool, but the backend is "
+            f"{getattr(spec, 'name', spec or 'serial')!r}; pass "
+            f"backend='process' "
+            f"(or leave workers at 1)"
+        )
     if isinstance(spec, SolverBackend):
         return spec
-    if spec is None:
-        return ThreadBackend(workers) if workers > 1 else SerialBackend()
-    if spec == "serial":
+    if spec is None or spec == "serial":
         return SerialBackend()
-    if spec == "thread":
-        return ThreadBackend(max(2, workers))
     if spec == "process":
         return ProcessBackend(max(2, workers))
     if spec == "shard":
@@ -295,7 +245,7 @@ def resolve_backend(spec, workers: int = 1) -> SolverBackend:
         # evaluator exists).
         from repro.core.shard_workers import ShardSolverBackend
 
-        return ShardSolverBackend(workers)
+        return ShardSolverBackend()
     raise ValueError(
         f"unknown solver backend {spec!r}; expected one of {BACKEND_SPECS}, "
         f"None, or a SolverBackend instance"

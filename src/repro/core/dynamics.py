@@ -290,7 +290,6 @@ def batch_responses(
     batch: Sequence[int],
     method: str,
     evaluator: Optional["GameEvaluator"] = None,
-    workers: int = 1,
     backend=None,
 ) -> List[BestResponseResult]:
     """Stale responses for one batch, all computed against ``profile``.
@@ -305,7 +304,7 @@ def batch_responses(
     """
     if evaluator is not None:
         return evaluator.set_profile(profile).gain_sweep(
-            method, peers=batch, workers=workers, backend=backend
+            method, peers=batch, backend=backend
         )
     return [
         _uncached_best_response(
@@ -385,13 +384,13 @@ class BestResponseDynamics:
         Set False to bypass the evaluator entirely and recompute every
         response from scratch (reference path for validation/benchmarks).
     workers:
-        Worker count for the independent response solves of a
-        multi-peer batch (1 = serial; results are identical either way).
+        Process-pool size for ``backend="process"`` (1 otherwise;
+        results are identical for any size).
     backend:
-        Execution backend for those solves — ``"serial"``, ``"thread"``,
-        ``"process"``, or a :class:`~repro.core.backends.SolverBackend`
-        instance (default: a thread pool when ``workers > 1``, else
-        serial).  Resolved once so pools persist across rounds; the
+        Execution backend for the independent response solves of a
+        multi-peer batch — ``"serial"`` (the default), ``"process"``,
+        ``"shard"``, or a :class:`~repro.core.backends.SolverBackend`
+        instance.  Resolved once so pools persist across rounds; the
         process backend attaches the evaluator's shared service store
         and never pickles a service matrix.  Results are identical for
         every backend.
@@ -476,9 +475,8 @@ class BestResponseDynamics:
         self._max_move_log = max_move_log
         self._evaluator = evaluator
         self._incremental = incremental
-        self._workers = max(1, int(workers))
         self._owns_backend = not isinstance(backend, SolverBackend)
-        self._backend = resolve_backend(backend, self._workers)
+        self._backend = resolve_backend(backend, workers)
         self._shards = shards
         self._shard_placement = shard_placement
         self._max_resident_shards = max_resident_shards
@@ -608,7 +606,6 @@ class BestResponseDynamics:
                         batch,
                         self._method,
                         evaluator,
-                        self._workers,
                         self._backend,
                     )
                 base_profile = profile

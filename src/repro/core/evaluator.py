@@ -70,14 +70,14 @@ much any strategy's column minimum can have decreased (``dec_cum``), and
 :meth:`best_response` returns the memoized response without re-solving
 whenever the matrix is bit-identical (sound for any deterministic
 solver) or — for exact methods — the effect bound proves the stored
-optimum cannot have been overtaken.  ``gain_sweep(workers=N)``
-dispatches the remaining (independent, read-only) solver calls to a
-thread pool; results are identical for any worker count.
+optimum cannot have been overtaken.  ``gain_sweep(backend=...)``
+dispatches the remaining (independent, read-only) solver calls to an
+execution backend; results are identical for every backend.
 
 The evaluator rebinds and repairs caches in place and is **not**
-thread-safe across concurrent queries; the worker pools driven by
+thread-safe across concurrent queries; the process pools driven by
 ``gain_sweep`` are safe because all cache mutation happens before and
-after the parallel section.
+after the dispatch.
 
 Service stores and execution backends
 -------------------------------------
@@ -93,7 +93,7 @@ every query is bit-identical across stores.
 
 How a sweep's response solves *execute* is equally pluggable
 (:mod:`repro.core.backends`): ``gain_sweep(backend=...)`` accepts
-``"serial"``/``"thread"``/``"process"`` or a
+``"serial"``/``"process"``/``"shard"`` or a
 :class:`~repro.core.backends.SolverBackend` instance.  The process
 backend requires (and auto-migrates to) a shareable store: pool workers
 receive ``(store_handle, peer, strategy, digest)`` tasks and attach the
@@ -101,7 +101,7 @@ store's segments/windows directly — the matrices are never pickled, and
 in-place repairs between sweeps are visible to long-lived workers
 through the shared mappings.  All backends run the same pure solver on
 the same bytes, so trajectories are identical for any backend and any
-worker count.
+pool size.
 
 For populations where even the ``n x n`` overlay-distance matrix is too
 large to hold, :class:`~repro.core.sharded.ShardedEvaluator` partitions
@@ -1028,7 +1028,6 @@ class GameEvaluator:
         self,
         method: str = "exact",
         peers: Optional[Sequence[int]] = None,
-        workers: int = 1,
         backend=None,
     ) -> List[BestResponseResult]:
         """Every peer's current best response (and gain) in one pass.
@@ -1039,15 +1038,14 @@ class GameEvaluator:
         the memo, and (3) dispatches only the remaining peers to the
         response solver through an execution backend
         (:mod:`repro.core.backends`): in the calling thread (serial), a
-        thread pool, or a process pool attached to the shared service
-        store.  The per-peer solves are independent pure functions of
+        process pool attached to the shared service store, or the shard
+        workers.  The per-peer solves are independent pure functions of
         their service matrices, so results are identical for any backend
-        and worker count.
+        and pool size.
 
         ``backend`` accepts a :class:`~repro.core.backends.SolverBackend`
-        instance or a spec string (``"serial"``/``"thread"``/
-        ``"process"``/``"shard"``); ``None`` keeps the legacy behavior
-        of sizing a thread pool from ``workers``.  A process backend
+        instance or a spec string (``"serial"``/``"process"``/
+        ``"shard"``); ``None`` solves serially.  A process backend
         requires a shareable store — a plain in-memory store is migrated
         to shared memory once, then workers attach it zero-copy.  The
         shard backend ships ``(peer, strategy)`` tasks to the shard
@@ -1061,7 +1059,7 @@ class GameEvaluator:
         activations costs one blocked build plus the solves the effect
         bound could not skip.
         """
-        backend = self._resolve_solver_backend(backend, workers)
+        backend = self._resolve_solver_backend(backend)
         profile = self.profile
         peers = list(range(self._n)) if peers is None else list(peers)
         if backend.distributed:
@@ -1085,24 +1083,13 @@ class GameEvaluator:
                 to_solve.append(peer)
 
         alpha = self._alpha
-        services: Dict[int, ServiceCosts] = {}
-        if (
-            not backend.distributed
-            and not backend.wants_tasks
-            and backend.workers > 1
-            and len(to_solve) > 1
-        ):
-            # Materialize before the parallel section: worker threads
-            # must not race on the store's bookkeeping (LRU, flags).
-            for peer in to_solve:
-                services[peer] = self._entry_service(peer, self._service[peer])
 
         def solve(peer: int) -> BestResponseResult:
-            service = services.get(peer)
-            if service is None:
-                service = self._entry_service(peer, self._service[peer])
             return best_response_from_service(
-                service, profile.strategy(peer), alpha, method
+                self._entry_service(peer, self._service[peer]),
+                profile.strategy(peer),
+                alpha,
+                method,
             )
 
         make_task = None
@@ -1137,7 +1124,7 @@ class GameEvaluator:
             results[peer] = response
         return [results[peer] for peer in peers]
 
-    def _resolve_solver_backend(self, backend, workers: int) -> SolverBackend:
+    def _resolve_solver_backend(self, backend) -> SolverBackend:
         """Resolve a gain-sweep backend spec for *this* evaluator.
 
         Subclass hook: the sharded evaluator overrides it to bind the
@@ -1145,7 +1132,7 @@ class GameEvaluator:
         rejected — a plain evaluator has no shard fabric to route solves
         to, and silently solving locally would hide the misconfiguration.
         """
-        resolved = resolve_backend(backend, workers)
+        resolved = resolve_backend(backend)
         if resolved.wants_tasks:
             raise ValueError(
                 "backend 'shard' routes solves to shard worker "

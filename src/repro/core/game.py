@@ -223,7 +223,7 @@ class TopologyGame:
         )
 
     def best_responses(
-        self, profile: StrategyProfile, method: str = "exact", workers: int = 1
+        self, profile: StrategyProfile, method: str = "exact"
     ) -> list:
         """Every peer's best response against ``profile`` in one sweep.
 
@@ -231,14 +231,11 @@ class TopologyGame:
         :meth:`~repro.core.evaluator.GameEvaluator.gain_sweep` builds all
         service matrices through blocked multi-source Dijkstra, reuses
         memoized responses when the dirty-row effect bound allows, and
-        (``workers > 1``) solves the rest on a thread pool.  Results are
-        identical to ``[game.best_response(profile, i, method) for i in
-        range(game.n)]``.
+        solves the rest.  Results are identical to
+        ``[game.best_response(profile, i, method) for i in range(game.n)]``.
         """
         self._check_profile(profile)
-        return self.evaluator.set_profile(profile).gain_sweep(
-            method, workers=workers
-        )
+        return self.evaluator.set_profile(profile).gain_sweep(method)
 
     # ------------------------------------------------------------------
     # Convenience profiles

@@ -30,17 +30,16 @@ process:
   protocol from a standalone :mod:`repro.shard_server` over TCP or
   Unix-domain sockets (``placement="socket"``), so shards can leave the
   coordinator's host entirely.
-* Each worker also owns its *own* service-matrix store and solver
-  backend: the ``solve`` request routes best-response solves to the
-  shard that owns the peer, built from the worker's overlay with the
-  same stripped-Dijkstra + normalization pipeline the coordinator uses
-  — the bytes, and therefore the responses, are identical.
+* Each worker also owns its *own* service-matrix store: the ``solve``
+  request routes best-response solves to the shard that owns the peer,
+  built from the worker's overlay with the same stripped-Dijkstra +
+  normalization pipeline the coordinator uses and solved in a plain
+  loop — the bytes, and therefore the responses, are identical.
 * Broadcast fan-out is **pipelined**: the pool sends a broadcast
   (``reset``/``rebind``/``sums``/``stats``) to all ``k`` transports
   before collecting any reply, so a round trip costs one worker's
-  latency instead of ``k`` of them (``pool.pipelined = False`` restores
-  the sequential order for measurement; replies are collected in shard
-  order either way, so results cannot depend on the mode).
+  latency instead of ``k`` of them; replies are collected in shard
+  order, so results cannot depend on which worker answers first.
 
 Message protocol (one request/reply pair per call, strictly ordered per
 worker):
@@ -79,7 +78,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backends import SolverBackend, resolve_backend
+from repro.core.backends import SolverBackend
 from repro.core.best_response import (
     BestResponseResult,
     ServiceCosts,
@@ -142,8 +141,6 @@ class _WorkerState:
         dmat: np.ndarray,
         backend: str,
         dynamic: bool = True,
-        solver: str = "serial",
-        solver_workers: int = 1,
     ) -> None:
         self.lo = lo
         self.hi = hi
@@ -163,17 +160,13 @@ class _WorkerState:
         self.vertices_repaired = 0
         self.full_fallbacks = 0
         self.resident_peak_bytes = 0
-        # Shard-side solver pool: this worker's own service-matrix store
-        # plus an in-process backend for the peers it owns (built lazily
-        # — workers that never see a "solve" pay nothing).
-        self.solver_spec = solver
-        self.solver_workers = solver_workers
         #: Cost model rebuilt from the spec riding the last ``reset``
         #: (None for the paper's default).  Shard-side solves price with
         #: its alpha; the per-peer term never enters a solve (it is
         #: constant w.r.t. each peer's own strategy by contract).
         self.model: Optional[CostModel] = None
-        self._solver: Optional[SolverBackend] = None
+        # This worker's own service-matrix store for the peers it owns
+        # (built lazily — workers that never see a "solve" pay nothing).
         self._service_store = None
         self._services: Dict[int, "_WorkerService"] = {}
         self.service_builds = 0
@@ -287,18 +280,7 @@ class _WorkerState:
             self.sums = (stretch.sum(axis=1), float(stretch.sum()))
         return self.sums
 
-    # -- shard-side solver pool -----------------------------------------
-    def _solver_backend(self) -> SolverBackend:
-        if self._solver is None:
-            solver = resolve_backend(self.solver_spec, self.solver_workers)
-            if solver.distributed or solver.wants_tasks:
-                raise ValueError(
-                    f"shard-side solver must be 'serial' or 'thread', "
-                    f"got {self.solver_spec!r}"
-                )
-            self._solver = solver
-        return self._solver
-
+    # -- shard-side solves ----------------------------------------------
     def _store(self):
         if self._service_store is None:
             self._service_store = make_store("memory")
@@ -408,15 +390,13 @@ class _WorkerState:
             else:
                 to_solve.append(peer)
 
-        def solve_local(peer: int) -> BestResponseResult:
-            return best_response_from_service(
-                services[peer][0], strategies[peer], alpha, method
-            )
-
-        solved = self._solver_backend().run_solves(to_solve, solve_local)
         self.response_solves += len(to_solve)
-        for peer, response in zip(to_solve, solved):
-            services[peer][1].memo = (method, response.strategy, response.cost)
+        for peer in to_solve:
+            view, service = services[peer]
+            response = best_response_from_service(
+                view, strategies[peer], alpha, method
+            )
+            service.memo = (method, response.strategy, response.cost)
             results[peer] = response
         return tuple(results[peer] for peer in peers)
 
@@ -663,7 +643,10 @@ def _stop_pipe_worker(conn, process) -> None:
     if alive:
         try:
             conn.send(("stop",))
-            conn.recv()
+            # Bounded: close() also runs from the GC finalizer, and a
+            # stuck worker must not hang whatever triggered collection.
+            if conn.poll(5):
+                conn.recv()
         except (EOFError, OSError):  # already gone / pipe torn
             pass
         process.join(timeout=5)
@@ -749,17 +732,10 @@ class ShardWorkerPool:
         backend: str = "auto",
         transport_factory=PipeTransport,
         dynamic_repair: bool = True,
-        pipelined: bool = True,
         recovery=None,
     ) -> None:
         self._plan = plan
         self._n = plan.n
-        #: Public toggle: pipelined fan-out (send to all k workers, then
-        #: collect all k replies) vs strict request-by-request rounds.
-        #: Replies are gathered in shard order either way, so every
-        #: result — and every trajectory — is identical in both modes;
-        #: the sequential mode exists as the e18 latency baseline.
-        self.pipelined = pipelined
         self._factory = transport_factory
         self._dmat = dmat
         self._backend = backend
@@ -872,8 +848,8 @@ class ShardWorkerPool:
 
         ``delay`` holds each worker's reply for that many seconds — a
         stand-in for cross-host wire latency: the workers delay
-        concurrently, so a pipelined broadcast pays it once while a
-        sequential one pays it ``k`` times.
+        concurrently, so the pipelined broadcast pays it once where any
+        sequential schedule would pay it ``k`` times.
         """
         self._broadcast(("ping", float(delay)) if delay else ("ping",))
 
@@ -946,25 +922,14 @@ class ShardWorkerPool:
     def _exchange(self, requests: Sequence[Tuple[int, Tuple]]):
         """Run one request per listed shard, replies in list order.
 
-        Pipelined (default): every request goes on the wire before any
-        reply is collected, so the wall-clock cost is one worker's
-        round trip plus the slowest handler — not the sum of ``k`` round
-        trips.  When a worker fails mid-exchange the remaining streams
+        Pipelined: every request goes on the wire before any reply is
+        collected, so the wall-clock cost is one worker's round trip plus
+        the slowest handler — not the sum of ``k`` round trips.  When a worker fails mid-exchange the remaining streams
         are still drained (each transport sees a complete send/recv pair
         or is dead); the failed shards then go through recovery (respawn
         + one retry each) when the pool has a :class:`RecoveryPolicy`,
         and the first unrecovered error is re-raised.
         """
-        if not self.pipelined:
-            replies = []
-            for shard, message in requests:
-                try:
-                    replies.append(
-                        self._transports[shard].request(message)
-                    )
-                except ShardWorkerError as error:
-                    replies.append(self._recover(shard, message, error))
-            return replies
         failed: List[Tuple[int, int, Tuple, ShardWorkerError]] = []
         pending: List[Optional[int]] = []
         for position, (shard, message) in enumerate(requests):
@@ -1121,8 +1086,8 @@ class ShardSolverBackend(SolverBackend):
     matrix in the coordinator and shipping store handles to a solver
     pool, the sweep ships each peer's ``(peer, strategy)`` task to the
     worker that owns the peer's row block; the worker builds, caches and
-    row-repairs that peer's matrix locally and solves through its own
-    in-worker backend.  The coordinator then holds *no* service matrices
+    row-repairs that peer's matrix locally and solves it in a plain loop.
+    The coordinator then holds *no* service matrices
     for swept peers at all — solves co-locate with the shard fabric.
 
     Resolution is two-phase because drivers resolve backends at
@@ -1137,8 +1102,7 @@ class ShardSolverBackend(SolverBackend):
     distributed = False
     wants_tasks = True
 
-    def __init__(self, workers: int = 1) -> None:
-        super().__init__(workers)
+    def __init__(self) -> None:
         self._pool: Optional[ShardWorkerPool] = None
 
     @property

@@ -700,7 +700,7 @@ class ShardedEvaluator(GameEvaluator):
         """The shard worker pool (``None`` under local placement)."""
         return self._worker_pool
 
-    def _resolve_solver_backend(self, backend, workers: int):
+    def _resolve_solver_backend(self, backend):
         """Bind the ``"shard"`` backend spec to this evaluator's pool.
 
         Drivers resolve backends at construction time, before any
@@ -711,7 +711,7 @@ class ShardedEvaluator(GameEvaluator):
         """
         from repro.core.backends import resolve_backend
 
-        resolved = resolve_backend(backend, workers)
+        resolved = resolve_backend(backend)
         if getattr(resolved, "wants_tasks", False):
             if self._worker_pool is None:
                 raise ValueError(
@@ -745,7 +745,7 @@ class ShardedEvaluator(GameEvaluator):
             self._shard_dist.reset()
         if self._worker_pool is not None:
             # The model spec rides the reset broadcast so shard-side
-            # solver pools price with the coordinator's cost model (the
+            # solves price with the coordinator's cost model (the
             # respawn replay re-sends it; the socket init handshake is
             # untouched).
             model = self._cost_model

@@ -428,8 +428,6 @@ class SocketTransport(ShardTransport):
         backend: str = "auto",
         dynamic: bool = True,
         *,
-        solver: str = "serial",
-        solver_workers: int = 1,
         connect_timeout: float = 10.0,
     ) -> None:
         # Defaults first: close() must be a no-op if the connect or
@@ -444,12 +442,7 @@ class SocketTransport(ShardTransport):
             int(lo),
             int(hi),
             np.ascontiguousarray(dmat, dtype=np.float64),
-            {
-                "backend": backend,
-                "dynamic": bool(dynamic),
-                "solver": solver,
-                "solver_workers": int(solver_workers),
-            },
+            {"backend": backend, "dynamic": bool(dynamic)},
         )
         # Bounded retry-with-backoff across connect *and* handshake: a
         # server still starting up may refuse the connection or accept
@@ -617,14 +610,10 @@ class SocketTransportFactory:
         self,
         hosts: Optional[Sequence[str]] = None,
         *,
-        solver: str = "serial",
-        solver_workers: int = 1,
         connect_timeout: float = 20.0,
     ) -> None:
         hosts = [h for h in (hosts or []) if str(h).strip()]
         self._addresses: List[Address] = [parse_address(h) for h in hosts]
-        self._solver = solver
-        self._solver_workers = solver_workers
         self._connect_timeout = connect_timeout
         self._server: Optional[subprocess.Popen] = None
         self._socket_path: Optional[str] = None
@@ -717,8 +706,6 @@ class SocketTransportFactory:
                 dmat,
                 backend,
                 dynamic,
-                solver=self._solver,
-                solver_workers=self._solver_workers,
                 connect_timeout=self._connect_timeout,
             )
         except (OSError, ShardWorkerError) as error:

@@ -64,7 +64,6 @@ def run(
         families = tuple(sorted(SCENARIO_FAMILIES)) + ("random-churn",)
     solver_backend = resolve_backend(backend, workers)
     harness: Dict[str, Any] = {
-        "workers": workers,
         "backend": solver_backend,
         "shards": shards,
         "shard_placement": shard_placement,

@@ -60,11 +60,12 @@ def run(
     """Convergence statistics on random instances vs the witness.
 
     ``workers``/``backend`` configure the execution of the batched
-    scheduler's concurrent response solves (``"serial"``, ``"thread"``
-    or ``"process"``; no effect on singleton schedulers).  Results are
-    identical for every backend — with ``"batched"`` among the default
-    schedulers, this experiment is the CLI's smoke-test surface for
-    ``--backend process``.  ``shards`` runs every dynamics pass on a
+    scheduler's concurrent response solves (``"serial"``, ``"process"``
+    with a ``workers``-sized pool, or ``"shard"``; no effect on
+    singleton schedulers).  Results are identical for every backend —
+    with ``"batched"`` among the default schedulers, this experiment is
+    the CLI's smoke-test surface for ``--backend process``.  ``shards``
+    runs every dynamics pass on a
     :class:`~repro.core.sharded.ShardedEvaluator` with that many
     row-block shards; ``shard_placement="process"`` additionally moves
     each shard's distance block into its own worker process,
@@ -100,7 +101,6 @@ def run(
                     game,
                     scheduler=scheduler,
                     record_moves=False,
-                    workers=workers,
                     backend=solver_backend,
                     shards=shards,
                     shard_placement=shard_placement,

@@ -120,9 +120,10 @@ class ServiceState:
 
     Parameters mirror :class:`~repro.simulation.churn.ChurnSimulation`
     where they overlap (``metric``, ``alpha``, ``initial_active``,
-    ``method``, ``workers``/``backend``, ``shards`` and friends); the
-    epoch engine is always incremental and always batched — coalescing
-    into batched epochs is the service's entire reason to exist.
+    ``method``, ``workers``/``backend`` — ``workers`` sizes a
+    ``"process"`` pool only — ``shards`` and friends); the epoch engine
+    is always incremental and always batched — coalescing into batched
+    epochs is the service's entire reason to exist.
 
     The state owns any backend resolved from a spec string and is a
     context manager; ``close()`` is idempotent and safe after a failed
@@ -175,7 +176,6 @@ class ServiceState:
         if journal is not None and self._cost_model is not None:
             journal.cost_model_spec = self._cost_model.spec()
         self._method = method
-        self._workers = max(1, int(workers))
         self._shards = shards
         self._shard_placement = shard_placement
         self._max_resident_shards = max_resident_shards
@@ -196,7 +196,7 @@ class ServiceState:
         self._fault_plan = fault_plan
         self._recovery = recovery
         self._owns_backend = not isinstance(backend, SolverBackend)
-        self._solver_backend = resolve_backend(backend, self._workers)
+        self._solver_backend = resolve_backend(backend, workers)
 
         if initial_active is None:
             initial_active = range(max(POPULATION_FLOOR, metric.n // 2))
@@ -297,7 +297,7 @@ class ServiceState:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release owned resources (idempotent, failed-init safe): the
-        solver pools of a backend resolved from a spec string.  Epoch
+        process pool of a backend resolved from a spec string.  Epoch
         evaluators are already closed at the end of their epoch."""
         if self._closed:
             return
@@ -537,7 +537,6 @@ class ServiceState:
             slots,
             self._method,
             evaluator,
-            self._workers,
             self._solver_backend,
         )
         moves = 0

@@ -5,10 +5,10 @@
 shard workers.  Each accepted connection is one shard: it opens with an
 ``("init", lo, hi, dmat, options)`` frame that builds the same
 :class:`~repro.core.shard_workers._WorkerState` a pipe worker would
-own — distance row block, dynamic-SSSP repairer, service store and
-solver backend — and then serves the standard ``reset`` / ``rebind`` /
-``rows`` / ``sums`` / ``solve`` / ``stats`` / ``ping`` / ``stop``
-protocol until the client stops or disconnects.  Several shards may
+own — distance row block, dynamic-SSSP repairer and service store —
+and then serves the standard ``reset`` / ``rebind`` / ``rows`` /
+``sums`` / ``solve`` / ``stats`` / ``ping`` / ``stop`` protocol until
+the client stops or disconnects.  Several shards may
 share one server (the coordinator's
 :class:`~repro.core.transport.SocketTransportFactory` round-robins
 them); each connection's state is private, so co-hosted shards cannot
@@ -48,7 +48,7 @@ __all__ = ["ShardServer", "main"]
 
 #: Worker options the ``init`` handshake may set (anything else is a
 #: client/server version skew and is rejected before state is built).
-_INIT_OPTIONS = frozenset({"backend", "dynamic", "solver", "solver_workers"})
+_INIT_OPTIONS = frozenset({"backend", "dynamic"})
 
 
 class ShardServer:

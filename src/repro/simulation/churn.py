@@ -99,12 +99,12 @@ class ChurnSimulation:
         evaluator gain sweep, then committed in order with the same
         stale-profile conflict re-checks as the dynamics engine.
     workers / backend:
-        Execution of the batched epoch's independent solves — worker
-        count plus ``"serial"``/``"thread"``/``"process"`` or a
-        :class:`~repro.core.backends.SolverBackend` instance (resolved
-        once, so a process pool persists across epochs).  Epoch
-        trajectories are identical for every backend; sequential
-        activation ignores both.
+        Execution of the batched epoch's independent solves —
+        ``"serial"`` (the default), ``"process"`` sized by ``workers``,
+        ``"shard"``, or a :class:`~repro.core.backends.SolverBackend`
+        instance (resolved once, so a process pool persists across
+        epochs).  Epoch trajectories are identical for every backend;
+        sequential activation ignores both.
     shards:
         When set, each epoch's evaluator is a
         :class:`~repro.core.sharded.ShardedEvaluator` over the epoch's
@@ -134,7 +134,7 @@ class ChurnSimulation:
 
     The simulation owns any backend resolved from a spec string, so it
     is a context manager: ``close()`` — or leaving the ``with`` block —
-    shuts the solver pools down; backend instances remain the caller's.
+    shuts the process pool down; backend instances remain the caller's.
     """
 
     def __init__(
@@ -196,12 +196,11 @@ class ChurnSimulation:
         self._method = method
         self._incremental = incremental
         self._activation = activation
-        self._workers = max(1, int(workers))
         #: Byzantine commit hook (:mod:`repro.faults.adversaries`);
         #: ``None`` keeps the honest code path byte-identical.
         self._peer_policy = peer_policy
         self._current_epoch = 0
-        self._solver_backend = resolve_backend(backend, self._workers)
+        self._solver_backend = resolve_backend(backend, workers)
         if initial_active is None:
             initial_active = list(range(max(2, metric.n // 2)))
         self._initial_active = sorted(set(initial_active))
@@ -212,7 +211,7 @@ class ChurnSimulation:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release owned resources (idempotent, failed-init safe): the
-        solver pools of a backend resolved from a spec string.  Per-epoch
+        process pool of a backend resolved from a spec string.  Per-epoch
         evaluators are already closed at the end of their epoch."""
         if self._owns_backend and self._solver_backend is not None:
             self._solver_backend.close()
@@ -421,7 +420,6 @@ class ChurnSimulation:
             batch,
             self._method,
             evaluator,
-            self._workers,
             self._solver_backend,
         )
         moves = 0

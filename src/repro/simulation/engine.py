@@ -22,8 +22,8 @@ Activation policies
   policy, and on convergent instances it often converges in fewer moves.
   The all-peers sweep each step runs as one
   :meth:`~repro.core.evaluator.GameEvaluator.gain_sweep`: blocked
-  service-matrix builds, effect-bound memo skips, and (``workers > 1``)
-  thread-pooled response solves.
+  service-matrix builds, effect-bound memo skips, and the response
+  solves dispatched through the engine's execution backend.
 """
 
 from __future__ import annotations
@@ -107,17 +107,16 @@ class SimulationEngine:
         Set False to recompute every response from scratch (reference
         path for validation/benchmarks).
     workers:
-        Worker count for the independent response solves of a gain
-        sweep (max-gain policy and multi-peer batches).  Results are
-        identical for any worker count; 1 means fully serial.
+        Process-pool size for ``backend="process"`` (1 otherwise).
+        Results are identical for any size.
     backend:
-        Execution backend for those solves — ``"serial"``, ``"thread"``,
-        ``"process"``, or a :class:`~repro.core.backends.SolverBackend`
-        instance (default: thread pool when ``workers > 1``, else
-        serial).  Resolved once per engine so pools persist across
-        rounds; the process backend solves against the evaluator's
-        shared-memory service store.  Trajectories are identical for
-        every backend.
+        Execution backend for the independent response solves of a
+        gain sweep (max-gain policy and multi-peer batches) —
+        ``"serial"`` (the default), ``"process"``, ``"shard"``, or a
+        :class:`~repro.core.backends.SolverBackend` instance.  Resolved
+        once per engine so pools persist across rounds; the process
+        backend solves against the evaluator's shared-memory service
+        store.  Trajectories are identical for every backend.
     shards:
         When set, the engine owns a
         :class:`~repro.core.sharded.ShardedEvaluator` with that many
@@ -193,9 +192,8 @@ class SimulationEngine:
         self._seed = seed
         self._incremental = incremental
         self._evaluator = evaluator
-        self._workers = max(1, int(workers))
         self._owns_backend = not isinstance(backend, SolverBackend)
-        self._backend = resolve_backend(backend, self._workers)
+        self._backend = resolve_backend(backend, workers)
         self._shards = shards
         self._shard_placement = shard_placement
         self._max_resident_shards = max_resident_shards
@@ -291,7 +289,6 @@ class SimulationEngine:
             # caches with the core dynamics it delegates to.
             evaluator=self._active_evaluator(),
             incremental=self._incremental,
-            workers=self._workers,
             backend=self._backend,
         )
         result = dynamics.run(
@@ -365,7 +362,6 @@ class SimulationEngine:
                         batch,
                         self._method,
                         evaluator,
-                        self._workers,
                         self._backend,
                     )
                 base_profile = profile
@@ -422,7 +418,7 @@ class SimulationEngine:
             best_response = None
             if evaluator is not None:
                 responses = evaluator.set_profile(profile).gain_sweep(
-                    self._method, workers=self._workers, backend=self._backend
+                    self._method, backend=self._backend
                 )
             else:
                 responses = [

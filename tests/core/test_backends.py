@@ -1,9 +1,9 @@
 """Execution backends: identical results, zero-copy process dispatch.
 
 The contract under test: a gain sweep's response solves are pure
-functions of the service matrices, so *any* backend (serial loop, thread
-pool, process pool over a shared-memory store) must return identical
-results and walk identical dynamics trajectories.  The process tests are
+functions of the service matrices, so *any* backend (serial loop,
+process pool over a shared-memory store) must return identical results
+and walk identical dynamics trajectories.  The process tests are
 small (one pool, tiny games) to keep tier-1 wall time bounded.
 """
 
@@ -17,7 +17,6 @@ from repro.core.backends import (
     ProcessBackend,
     SerialBackend,
     SolverBackend,
-    ThreadBackend,
     resolve_backend,
 )
 from repro.core.dynamics import BatchedScheduler, BestResponseDynamics
@@ -42,15 +41,15 @@ def process_pool():
 
 
 class TestResolveBackend:
-    def test_none_preserves_legacy_workers_semantics(self):
+    def test_workers_without_process_spec_raises(self):
         assert isinstance(resolve_backend(None, 1), SerialBackend)
-        thread = resolve_backend(None, 4)
-        assert isinstance(thread, ThreadBackend)
-        assert thread.workers == 4
+        for spec in (None, "serial", "shard", SerialBackend()):
+            with pytest.raises(ValueError, match="backend='process'"):
+                resolve_backend(spec, 4)
 
     def test_spec_strings(self):
-        assert isinstance(resolve_backend("serial", 8), SerialBackend)
-        assert isinstance(resolve_backend("thread", 3), ThreadBackend)
+        assert isinstance(resolve_backend(None), SerialBackend)
+        assert isinstance(resolve_backend("serial"), SerialBackend)
         process = resolve_backend("process", 3)
         assert isinstance(process, ProcessBackend)
         assert process.workers == 3
@@ -58,17 +57,18 @@ class TestResolveBackend:
 
     def test_instances_pass_through(self):
         backend = SerialBackend()
-        assert resolve_backend(backend, 7) is backend
+        assert resolve_backend(backend) is backend
 
     def test_unknown_spec_raises(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            resolve_backend("gpu", 2)
+        for spec in ("gpu", "thread"):
+            with pytest.raises(ValueError, match="unknown solver backend"):
+                resolve_backend(spec)
 
     def test_spec_names_are_stable(self):
         # The CLI exposes exactly these.
-        assert BACKEND_SPECS == ("serial", "thread", "process", "shard")
+        assert BACKEND_SPECS == ("serial", "process", "shard")
         for spec in BACKEND_SPECS:
-            assert resolve_backend(spec, 2).name == spec
+            assert resolve_backend(spec).name == spec
 
     def test_base_backend_runs_serially(self):
         backend = SolverBackend()
@@ -76,16 +76,6 @@ class TestResolveBackend:
 
 
 class TestSweepIdentity:
-    @pytest.mark.parametrize("method", ["greedy", "exact"])
-    def test_thread_backend_matches_serial(self, method):
-        game = _game()
-        profile = game.random_profile(0.3, seed=5)
-        serial = GameEvaluator(game, profile).gain_sweep(method)
-        threaded = GameEvaluator(game, profile).gain_sweep(
-            method, backend=ThreadBackend(4)
-        )
-        assert threaded == serial
-
     @pytest.mark.parametrize("method", ["greedy", "exact"])
     def test_process_backend_matches_serial(self, method, process_pool):
         game = _game()
@@ -195,11 +185,13 @@ class TestLifecycle:
             leftover = set(names) & set(os.listdir("/dev/shm"))
             assert not leftover
 
-    def test_thread_backend_close_is_idempotent(self):
-        backend = ThreadBackend(2)
-        assert backend.run_solves([1, 2], lambda p: p + 1) == [2, 3]
+    def test_process_backend_close_is_idempotent(self):
+        backend = ProcessBackend(workers=2)
+        assert backend.run_solves([1], lambda p: p + 1) == [2]
+        backend._executor()  # a pool with no submissions forks nothing
         backend.close()
         backend.close()
+        assert backend._pool is None
 
     def test_process_backend_requires_tasks_for_batches(self):
         backend = ProcessBackend(workers=2)

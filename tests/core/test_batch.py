@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.backends import resolve_backend
 from repro.core.best_response import (
     _greedy_with_local_search,
     best_response as naive_best_response,
@@ -220,10 +221,17 @@ class TestGainSweep:
     def test_workers_do_not_change_results(self):
         game = _random_game(31, 10)
         profile = game.random_profile(0.3, seed=10)
-        serial = GameEvaluator(game, profile).gain_sweep("greedy", workers=1)
-        pooled = GameEvaluator(game, profile).gain_sweep("greedy", workers=4)
-        assert [r.strategy for r in serial] == [r.strategy for r in pooled]
-        assert [r.cost for r in serial] == [r.cost for r in pooled]
+        serial = GameEvaluator(game, profile).gain_sweep("greedy")
+        for workers in (2, 3):
+            backend = resolve_backend("process", workers)
+            evaluator = GameEvaluator(game, profile)
+            try:
+                pooled = evaluator.gain_sweep("greedy", backend=backend)
+            finally:
+                evaluator.close()
+                backend.close()
+            assert [r.strategy for r in serial] == [r.strategy for r in pooled]
+            assert [r.cost for r in serial] == [r.cost for r in pooled]
 
     def test_peer_subset_sweep(self):
         game = _random_game(37, 7)
@@ -506,11 +514,16 @@ class TestEngineBatchPaths:
         game_a = _random_game(79, 12, alpha=1.0)
         game_b = _random_game(79, 12, alpha=1.0)
         a = SimulationEngine(
-            game_a, method="greedy", activation="max-gain", workers=1
+            game_a, method="greedy", activation="max-gain"
         ).run(max_rounds=40)
-        b = SimulationEngine(
-            game_b, method="greedy", activation="max-gain", workers=4
-        ).run(max_rounds=40)
+        with SimulationEngine(
+            game_b,
+            method="greedy",
+            activation="max-gain",
+            workers=3,
+            backend="process",
+        ) as engine:
+            b = engine.run(max_rounds=40)
         assert a.profile.key() == b.profile.key()
         assert a.moves == b.moves
 
@@ -524,7 +537,7 @@ class TestGameBatchQueries:
     def test_best_responses_matches_per_peer(self):
         game = _random_game(89, 8, alpha=1.2)
         profile = game.random_profile(0.3, seed=12)
-        sweep = game.best_responses(profile, method="greedy", workers=2)
+        sweep = game.best_responses(profile, method="greedy")
         for peer in range(game.n):
             solo = game.best_response(profile, peer, method="greedy")
             assert sweep[peer].strategy == solo.strategy

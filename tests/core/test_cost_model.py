@@ -174,7 +174,7 @@ class TestUnilateralNeutrality:
             )
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
-    @pytest.mark.parametrize("backend_workers", [(None, 1), ("thread", 2)])
+    @pytest.mark.parametrize("backend_workers", [(None, 1), ("process", 2)])
     def test_trajectories_identical_across_harnesses(
         self, shards, backend_workers
     ):
@@ -182,12 +182,15 @@ class TestUnilateralNeutrality:
         reference = BestResponseDynamics(_random_game(11, n=10)).run(
             max_rounds=60
         )
-        result = BestResponseDynamics(
+        # The context manager shuts the owned process pool down here
+        # instead of leaving it to garbage collection.
+        with BestResponseDynamics(
             _random_game(11, n=10, cost_model=UnilateralModel(1.5)),
             shards=shards,
             backend=backend,
             workers=workers,
-        ).run(max_rounds=60)
+        ) as dynamics:
+            result = dynamics.run(max_rounds=60)
         assert result.profile.key() == reference.profile.key()
         assert result.num_moves == reference.num_moves
         assert result.stopped_reason == reference.stopped_reason

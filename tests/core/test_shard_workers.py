@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core.backends import ProcessBackend, SerialBackend, ThreadBackend
+from repro.core.backends import ProcessBackend, SerialBackend
 from repro.core.dynamics import BatchedScheduler, BestResponseDynamics
 from repro.core.evaluator import GameEvaluator
 from repro.core.game import TopologyGame
@@ -271,7 +271,7 @@ class TestTrajectoryIdentity:
             assert result.stopped_reason == reference.stopped_reason
 
     @pytest.mark.parametrize("store", ["memory", "spill"])
-    @pytest.mark.parametrize("make_backend", [SerialBackend, ThreadBackend])
+    @pytest.mark.parametrize("make_backend", [SerialBackend, ProcessBackend])
     def test_max_gain_identical_across_backend_store_combos(
         self, store, make_backend
     ):
@@ -279,7 +279,7 @@ class TestTrajectoryIdentity:
         reference = SimulationEngine(
             game, method="greedy", activation="max-gain"
         ).run(max_rounds=20)
-        backend = make_backend(2)
+        backend = make_backend()
         store_spec = (
             (lambda: SpillStore(budget_bytes=1 << 20))
             if store == "spill"
@@ -326,7 +326,6 @@ class TestTrajectoryIdentity:
                 activation="batched",
                 evaluator=evaluator,
                 backend=backend,
-                workers=2,
             ).run(max_rounds=10)
             assert report.profile.key() == reference.profile.key()
             assert report.moves == reference.moves
@@ -494,30 +493,6 @@ class TestSocketPlacement:
                 expected.moves,
                 expected.social_cost,
             )
-
-    def test_sequential_fanout_identical_to_pipelined(self):
-        game = _random_game(22, n=12)
-        profile = game.random_profile(0.3, seed=9)
-        with ShardWorkerPool(
-            ShardPlan.build(game.n, 4), game.distance_matrix
-        ) as fast, ShardWorkerPool(
-            ShardPlan.build(game.n, 4), game.distance_matrix, pipelined=False
-        ) as slow:
-            assert fast.pipelined and not slow.pipelined
-            for pool in (fast, slow):
-                pool.reset(profile)
-                pool.rebind(2, (0, 5))
-            np.testing.assert_array_equal(
-                slow.rows(range(game.n)), fast.rows(range(game.n))
-            )
-            fast_sums = fast.stretch_sums_all()
-            slow_sums = slow.stretch_sums_all()
-            assert fast_sums.keys() == slow_sums.keys()
-            for shard in fast_sums:
-                np.testing.assert_array_equal(
-                    slow_sums[shard][0], fast_sums[shard][0]
-                )
-                assert slow_sums[shard][1] == fast_sums[shard][1]
 
     def test_coordinator_resident_bytes_zero_under_socket_placement(self):
         game = _random_game(23, n=18)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core.backends import ProcessBackend, SerialBackend, ThreadBackend
+from repro.core.backends import ProcessBackend, SerialBackend
 from repro.core.dynamics import BatchedScheduler, BestResponseDynamics
 from repro.core.evaluator import GameEvaluator
 from repro.core.game import TopologyGame
@@ -293,7 +293,7 @@ class TestTrajectoryIdentity:
             assert result.stopped_reason == reference.stopped_reason
 
     @pytest.mark.parametrize("store", ["memory", "spill"])
-    @pytest.mark.parametrize("make_backend", [SerialBackend, ThreadBackend])
+    @pytest.mark.parametrize("make_backend", [SerialBackend, ProcessBackend])
     def test_max_gain_identical_across_backend_store_combos(
         self, store, make_backend
     ):
@@ -301,7 +301,7 @@ class TestTrajectoryIdentity:
         reference = SimulationEngine(
             game, method="greedy", activation="max-gain"
         ).run(max_rounds=25)
-        backend = make_backend(2)
+        backend = make_backend()
         evaluator = ShardedEvaluator(
             TopologyGame(game.metric, game.alpha),
             store=store,
@@ -337,7 +337,6 @@ class TestTrajectoryIdentity:
                 activation="batched",
                 evaluator=evaluator,
                 backend=backend,
-                workers=2,
             ).run(max_rounds=12)
             assert report.profile.key() == reference.profile.key()
             assert report.moves == reference.moves

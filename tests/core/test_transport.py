@@ -409,3 +409,68 @@ class TestConnectRetryWithBackoff:
         transport.close()
         listener.close()
         thread.join(timeout=5)
+
+
+class TestShardServerHandshake:
+    """``ShardServer`` refuses a connection whose first frame is not a
+    well-formed ``init`` — answering with an ``("error", ...)`` frame and
+    closing — and keeps serving the clients that come after."""
+
+    _dmat = staticmethod(TestConnectRetryWithBackoff._dmat)
+
+    @pytest.fixture
+    def server(self, tmp_path):
+        from repro.shard_server import ShardServer
+
+        server = ShardServer(f"unix:{tmp_path / 'shard.sock'}")
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        yield server
+        server.stop()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    @staticmethod
+    def _refused(server, message):
+        """Send one raw frame; return the reply and check the hang-up."""
+        from repro.core.transport import connect_address
+
+        with connect_address(server.address, timeout=5.0) as sock:
+            sock.settimeout(5.0)
+            send_frame(sock, message)
+            reply = recv_frame(sock)
+            with pytest.raises(EOFError):
+                recv_frame(sock)
+        return reply
+
+    def test_removed_solver_option_is_refused(self, server):
+        options = {"backend": "auto", "dynamic": True, "solver": "serial"}
+        kind, payload = self._refused(
+            server, ("init", 0, 2, self._dmat(), options)
+        )
+        assert kind == "error"
+        assert payload == "unknown init options ['solver']"
+
+    def test_first_frame_must_be_init(self, server):
+        assert self._refused(server, ("ping",)) == (
+            "error",
+            "expected an 'init' handshake",
+        )
+
+    def test_well_formed_client_is_served_after_refusals(self, server):
+        from repro.core.transport import SocketTransport
+
+        self._refused(server, ("ping",))
+        self._refused(
+            server, ("init", 0, 2, self._dmat(), {"solver_workers": 2})
+        )
+        dmat = self._dmat()
+        transport = SocketTransport(server.address, 0, 2, dmat)
+        try:
+            assert transport.request(("ping",)) == "pong"
+            transport.request(("reset", ((1,), (2,), (3,), (0,))))
+            rows = transport.request(("rows", [0, 1]))
+            assert rows.shape == (2, 4)
+            assert rows[0, 1] == dmat[0, 1]
+        finally:
+            transport.close()

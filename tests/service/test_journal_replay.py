@@ -171,11 +171,11 @@ class TestReplayIdentity:
     @pytest.mark.parametrize(
         "options",
         [
-            {"workers": 2, "backend": "thread"},
+            {"workers": 2, "backend": "process"},
             {"shards": 2},
             {"shards": 2, "shard_placement": "process"},
         ],
-        ids=["thread-backend", "sharded-local", "sharded-process"],
+        ids=["process-backend", "sharded-local", "sharded-process"],
     )
     def test_replay_is_execution_invariant(self, options):
         metric = _metric(14, seed=6)

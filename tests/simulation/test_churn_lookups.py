@@ -155,15 +155,14 @@ class TestBatchedChurn:
     """Batched epochs: stale-profile semantics, backend-independent."""
 
     def test_batched_identical_across_backends(self, universe):
-        """Serial / thread / process backends walk one trajectory."""
-        from repro.core.backends import ProcessBackend, ThreadBackend
+        """Serial and process backends walk one trajectory."""
+        from repro.core.backends import ProcessBackend
 
         runs = {}
         process = ProcessBackend(workers=2)
         try:
             for name, backend in (
                 ("serial", None),
-                ("thread", ThreadBackend(3)),
                 ("process", process),
             ):
                 runs[name] = ChurnSimulation(
@@ -175,10 +174,9 @@ class TestBatchedChurn:
                 ).run(epochs=6)
         finally:
             process.close()
-        for name in ("thread", "process"):
-            assert runs[name].final_profile == runs["serial"].final_profile
-            assert runs[name].final_active == runs["serial"].final_active
-            assert runs[name].total_moves == runs["serial"].total_moves
+        assert runs["process"].final_profile == runs["serial"].final_profile
+        assert runs["process"].final_active == runs["serial"].final_active
+        assert runs["process"].total_moves == runs["serial"].total_moves
 
     def test_batched_incremental_matches_reference(self, universe):
         cached = ChurnSimulation(

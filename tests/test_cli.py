@@ -35,7 +35,7 @@ class TestParser:
         parser = build_parser()
         assert parser.parse_args(["run", "E9"]).backend is None
         for command in (["run", "E9"], ["run-all"], ["demo"]):
-            for backend in ("serial", "thread", "process"):
+            for backend in ("serial", "process", "shard"):
                 args = parser.parse_args(command + ["--backend", backend])
                 assert args.backend == backend
 
@@ -43,6 +43,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "E9", "--backend", "gpu"])
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_removed_thread_backend_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "E9", "--backend", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "backend_flags",
+        [[], ["--backend", "serial"], ["--backend", "shard"]],
+        ids=["default", "serial", "shard"],
+    )
+    def test_workers_without_process_backend_rejected(
+        self, backend_flags, capsys
+    ):
+        argv = ["run", "E9", "--workers", "2"] + backend_flags
+        if backend_flags[-1:] == ["shard"]:
+            argv += ["--shards", "2", "--shard-placement", "process"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers 2 sizes a process pool" in err
+        assert "add --backend process" in err
 
     def test_nonpositive_workers_rejected(self, capsys):
         for bad in ("0", "-2", "zero"):
