@@ -3,7 +3,7 @@
 PR 9 added ``repro.faults``: adversarial scenario families (Byzantine
 peers, transient state corruption, targeted churn), a deterministic
 fault-injection layer over the shard transports and the service queue,
-and chaos drills that kill real worker/server processes.  This bench
+and chaos drills that kill real shard worker processes.  This bench
 pins the suite's three contracts:
 
 * **Degradation + recovery are measured and deterministic**: the E12
@@ -12,8 +12,9 @@ pins the suite's three contracts:
   scenario is a pure function of its seed).
 * **Null plan is no plan**: a service run wrapped in the explicit null
   fault plan journals the exact digests of an unwrapped run.
-* **Chaos recovery is bounded and leak-free**: worker kills, a shard
-  server SIGKILL, and a drop-fault service run all recover — results
+* **Chaos recovery is bounded and leak-free**: worker kills, every
+  shard's process SIGKILLed at once, and a drop-fault service run all
+  recover — results
   bit-identical, journal replay digest-identical, zero leaked
   processes/fds — and the measured recovery-time distribution is
   recorded.
@@ -132,7 +133,6 @@ def test_bench_chaos_recovery_times():
         lines.append(
             f"{report.name:<22} kills={report.kills} "
             f"recoveries={report.recoveries} "
-            f"restarts={report.server_restarts} "
             f"leaks={report.leaked_processes}p/{report.leaked_fds}fd "
             f"clean={report.clean}"
         )

@@ -1,14 +1,17 @@
-"""E18 benchmark: multi-host shard fabric — fan-out latency + socket overhead.
+"""E18 benchmark: multi-host shard fabric — fan-out latency + per-op cost.
 
-PR 7 filled the ``ShardTransport`` seam with a socket transport
-(:mod:`repro.core.transport` + :mod:`repro.shard_server`) and made every
-broadcast **pipelined**: the pool puts all ``k`` requests on the wire
-before collecting any reply, so a broadcast costs one worker's round
-trip plus the slowest handler instead of ``k`` round trips.  This bench
-measures both halves of that claim:
+Every shard speaks the framed socket protocol of
+:mod:`repro.core.transport`, whether it is a **forked** same-host child
+on a socketpair (``placement="process"``, or ``"socket"`` without
+hosts) or a **remote** shard served by a :mod:`repro.shard_server`
+(here one server process on a Unix socket, reached through
+``--shard-hosts``).  Every broadcast is **pipelined**: the pool puts all
+``k`` requests on the wire before collecting any reply, so a broadcast
+costs one worker's round trip plus the slowest handler instead of ``k``
+round trips.  This bench measures:
 
 * **Fan-out speedup** (the headline): the pipelined broadcast at
-  ``k=4`` on both transports against ``k × delay``, the least any
+  ``k=4`` on both placements against ``k × delay``, the least any
   sequential schedule must pay.  Per-request latency is made
   *protocol-bound* with the worker-side latency probe
   (``pool.ping(delay)`` — each worker holds its reply for ``delay``
@@ -18,11 +21,12 @@ measures both halves of that claim:
   sleeps through all ``k`` delays back to back).  Because the delay is
   slept worker-side, the >= 1.5x acceptance floor holds on any host,
   single-core included — it is asserted **unconditionally**.
-* **Socket-vs-pipe per-op overhead**: raw (no-probe) per-op wall time
-  for ``ping`` (pure protocol) and ``rows`` (bulk ndarray frames) on
-  both transports, recording what the framing codec + TCP/Unix stream
-  cost over a same-host pipe.  Informational, not asserted — same-host
-  numbers say nothing about the cross-host case the transport is for.
+* **Per-op overhead**: raw (no-probe) per-op wall time for ``ping``
+  (pure protocol) and ``rows`` (bulk ndarray frames) on both
+  placements: one process per forked shard against all ``k`` shards on
+  threads of one server process.  Informational, not asserted —
+  same-host numbers say nothing about the cross-host case the server is
+  for.
 * **Placement identity + residency**: a max-gain engine run under
   socket placement must reproduce local placement's trajectory exactly
   while the coordinator's resident distance bytes stay 0 (the e16
@@ -34,6 +38,11 @@ Results go to ``benchmarks/results/e18.txt`` and, machine-readable,
 
 from __future__ import annotations
 
+import contextlib
+import os
+import subprocess
+import sys
+import tempfile
 import time
 
 import numpy as np
@@ -41,7 +50,7 @@ import numpy as np
 from repro.core.game import TopologyGame
 from repro.core.shard_workers import ShardWorkerPool
 from repro.core.sharded import ShardPlan
-from repro.core.transport import SocketTransportFactory
+from repro.core.transport import SocketTransportFactory, connect_address
 from repro.metrics.euclidean import EuclideanMetric
 from repro.simulation.engine import SimulationEngine
 
@@ -67,11 +76,40 @@ def _game(n: int) -> TopologyGame:
     )
 
 
-def _pool(game: TopologyGame, transport: str, k: int = K) -> ShardWorkerPool:
-    factory = (
-        SocketTransportFactory() if transport == "socket" else None
+@contextlib.contextmanager
+def _shard_server():
+    """A ``python -m repro.shard_server`` process on a Unix socket."""
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
     )
-    kwargs = {} if factory is None else {"transport_factory": factory}
+    with tempfile.TemporaryDirectory(prefix="e18-") as tmpdir:
+        address = f"unix:{os.path.join(tmpdir, 'shard.sock')}"
+        server = subprocess.Popen(
+            [sys.executable, "-m", "repro.shard_server", "--listen",
+             address, "--quiet"],
+            env=env,
+        )
+        try:
+            # Wait until it serves: its start-up must not overlap a
+            # measurement.
+            connect_address(address, timeout=30.0).close()
+            yield address
+        finally:
+            server.terminate()
+            server.wait(timeout=10)
+
+
+def _pool(
+    game: TopologyGame, placement: str, k: int = K, address: str = None
+) -> ShardWorkerPool:
+    """A pool of forked shards, or of remote ones on ``address``."""
+    kwargs = (
+        {"transport_factory": SocketTransportFactory([address])}
+        if placement == "remote"
+        else {}
+    )
     pool = ShardWorkerPool(
         ShardPlan.build(game.n, k), game.distance_matrix, **kwargs
     )
@@ -169,35 +207,41 @@ def _placement_identity(n: int, max_rounds: int) -> dict:
 
 
 def test_socket_placement_smoke():
-    """CI-friendly smoke: socket fabric end to end at n=24."""
+    """CI-friendly smoke: forked and remote shards end to end at n=24."""
     game = _game(24)
-    with _pool(game, "socket", k=2) as pool:
-        pool.ping()
-        assert pool.rows(range(game.n)).shape == (game.n, game.n)
+    with _shard_server() as address:
+        with _pool(game, "forked", k=2) as forked, _pool(
+            game, "remote", k=2, address=address
+        ) as remote:
+            forked.ping()
+            remote.ping()
+            np.testing.assert_array_equal(
+                remote.rows(range(game.n)), forked.rows(range(game.n))
+            )
 
 
 def test_shard_fabric_report(benchmark):
     """Full report: fan-out speedup, per-op overhead, placement identity."""
     game = _game(N)
     fanout, per_op = [], []
-    for transport in ("pipe", "socket"):
-        with _pool(game, transport) as pool:
-            fanout.append(_fanout_row(pool, transport))
-            per_op.extend(_per_op_rows(pool, transport, game.n))
+    with _shard_server() as address:
+        for placement in ("forked", "remote"):
+            with _pool(game, placement, address=address) as pool:
+                fanout.append(_fanout_row(pool, placement))
+                per_op.extend(_per_op_rows(pool, placement, game.n))
     identity = benchmark.pedantic(
         lambda: _placement_identity(N, ENGINE_ROUNDS), rounds=1, iterations=1
     )
 
-    pipe_ping = next(
-        r for r in per_op if r["transport"] == "pipe" and r["op"] == "ping"
+    forked_ping, remote_ping = (
+        next(r for r in per_op if r["transport"] == name and r["op"] == "ping")
+        for name in ("forked", "remote")
     )
-    sock_ping = next(
-        r for r in per_op if r["transport"] == "socket" and r["op"] == "ping"
-    )
-    socket_overhead_us = sock_ping["us_per_op"] - pipe_ping["us_per_op"]
+    remote_overhead_us = remote_ping["us_per_op"] - forked_ping["us_per_op"]
 
     lines = [
-        "E18: Multi-host shard fabric — pipelined fan-out + socket transport",
+        "E18: Multi-host shard fabric — pipelined fan-out, forked and "
+        "remote shards",
         "",
         f"fan-out at k={K} ({PROBE_DELAY_S*1e3:.0f}ms worker-side latency "
         "probe per request):",
@@ -216,13 +260,13 @@ def test_shard_fabric_report(benchmark):
             f"{row['us_per_op']:8.1f} us/op"
         )
     lines += [
-        f"  socket-over-pipe ping overhead: {socket_overhead_us:+.1f} us/op",
+        f"  remote-over-forked ping overhead: {remote_overhead_us:+.1f} us/op",
         "",
         f"placement identity: n={N}, k={K}, {identity['moves']} moves, "
         f"identical={identity['identical']}, coordinator resident peak "
         f"{identity['coordinator_resident_peak_bytes']} bytes",
         "",
-        "E18: pipelined fan-out + socket shard placement",
+        "E18: pipelined fan-out over forked and remote shards",
         "  claim   : broadcasts cost one protocol-bound round trip, under"
         " the k x delay any sequential schedule pays;"
         " socket placement reproduces trajectories exactly with zero"
@@ -246,8 +290,8 @@ def test_shard_fabric_report(benchmark):
         {
             "name": "e18",
             "title": (
-                "Multi-host shard fabric: socket transport, pipelined "
-                "fan-out, shard-side placement identity"
+                "Multi-host shard fabric: forked and remote shards, "
+                "pipelined fan-out, shard-side placement identity"
             ),
             "acceptance": {
                 "floor": SPEEDUP_FLOOR_PIPELINED,
@@ -276,7 +320,7 @@ def test_shard_fabric_report(benchmark):
                 {**row, "us_per_op": round(row["us_per_op"], 2)}
                 for row in per_op
             ],
-            "socket_over_pipe_ping_us": round(socket_overhead_us, 2),
+            "remote_over_forked_ping_us": round(remote_overhead_us, 2),
             "placement_identity": {
                 **identity,
                 "wall_s": round(identity["wall_s"], 4),

@@ -122,12 +122,11 @@ def _add_execution_flags(command) -> None:
             "where the shard row blocks live (needs --shards): 'local' "
             "keeps them in this process (the default), 'process' runs "
             "one long-lived worker process per shard serving distance "
-            "rows over a pipe, 'socket' hosts the same workers behind "
-            "shard servers reached over TCP/Unix sockets (see "
-            "--shard-hosts; without it a same-host server is "
-            "auto-spawned) — with either worker placement the "
-            "coordinator holds no distance block at all; trajectories "
-            "are identical for every placement"
+            "rows over a socketpair, 'socket' does the same or, with "
+            "--shard-hosts, hosts the workers behind shard servers "
+            "reached over TCP/Unix sockets — with either worker "
+            "placement the coordinator holds no distance block at all; "
+            "trajectories are identical for every placement"
         ),
     )
     command.add_argument(

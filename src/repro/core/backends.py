@@ -177,7 +177,8 @@ class ProcessBackend(SolverBackend):
 
     @staticmethod
     def _shutdown(pool) -> None:
-        pool.shutdown(wait=False, cancel_futures=True)
+        # wait=True: close() returns only once every worker has exited.
+        pool.shutdown(wait=True, cancel_futures=True)
 
     def run_solves(
         self,

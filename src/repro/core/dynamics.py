@@ -405,11 +405,12 @@ class BestResponseDynamics:
         Where that sharded evaluator's distance blocks live:
         ``"local"`` (default), ``"process"`` — one worker process per
         shard (:mod:`repro.core.shard_workers`) serving distance rows
-        over a pipe — or ``"socket"`` — the same workers behind
-        standalone :mod:`repro.shard_server` processes (auto-spawned
-        same-host by default).  Either worker placement leaves the
-        coordinator with no resident block at all.  Trajectories are
-        identical for every placement.  Requires ``shards``.
+        over a socketpair — or ``"socket"`` — the same, or with
+        ``shard_hosts`` the same workers behind standalone
+        :mod:`repro.shard_server` processes.  Either worker placement
+        leaves the coordinator with no resident block at all.
+        Trajectories are identical for every placement.  Requires
+        ``shards``.
     max_resident_shards:
         Resident row-block budget of the owned sharded evaluator
         (local placement; default 1).  Requires ``shards`` and must not
@@ -417,7 +418,7 @@ class BestResponseDynamics:
     shard_hosts:
         Socket placement only: addresses (``"host:port"`` /
         ``"unix:/path"``) of running shard servers to round-robin
-        shards across; ``None`` auto-spawns a same-host server.
+        shards across; ``None`` forks the shards on this host.
 
     The dynamics own the sharded evaluator (and any backend resolved
     from a spec string), so they are a context manager: ``close()`` —

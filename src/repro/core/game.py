@@ -152,7 +152,8 @@ class TopologyGame:
         (:mod:`repro.core.shard_workers`), and ``placement="socket"``
         hosts those workers behind :mod:`repro.shard_server` processes
         reached over TCP/Unix sockets (``shard_hosts`` names the
-        servers; ``None`` auto-spawns one same-host);
+        servers; ``None`` forks the shards on this host, like
+        ``"process"``);
         ``max_resident_shards`` budgets the locally resident blocks.
         All require ``shards``.
         """

@@ -23,13 +23,13 @@ process:
   ``(peer, new_targets)``; every worker re-derives the affected rows
   from its own overlay with the same reverse-reachability BFS the
   coordinator runs, so no row set crosses the wire either.
-* The transport is abstracted behind :class:`ShardTransport` — the
-  default :class:`PipeTransport` forks one worker per shard over a
-  ``multiprocessing`` pipe, and
-  :class:`~repro.core.transport.SocketTransport` serves the identical
-  protocol from a standalone :mod:`repro.shard_server` over TCP or
-  Unix-domain sockets (``placement="socket"``), so shards can leave the
-  coordinator's host entirely.
+* The transport is abstracted behind :class:`ShardTransport`, and one
+  implementation fills it:
+  :class:`~repro.core.transport.SocketTransport` with the framed codec
+  of :mod:`repro.core.transport`.  A same-host shard is a forked child
+  process serving one end of a socketpair; with ``shard_hosts`` a shard
+  connects to a standalone :mod:`repro.shard_server` instead, so shards
+  can leave the coordinator's host entirely.
 * Each worker also owns its *own* service-matrix store: the ``solve``
   request routes best-response solves to the shard that owns the peer,
   built from the worker's overlay with the same stripped-Dijkstra +
@@ -61,7 +61,7 @@ request        payload                                  reply payload
 Replies are ``("ok", payload)`` or ``("error", traceback_text)``; the
 coordinator re-raises the latter as :class:`ShardWorkerError`.
 
-Lifecycle: workers are daemonic and the pool registers a
+Lifecycle: same-host workers are daemonic and the pool registers a
 ``weakref.finalize`` safety net (mirroring the backend ``_shutdown``
 pattern in :mod:`repro.core.backends`), so an abandoned pool — a test
 failure mid-run, a CLI Ctrl-C — still tears its processes down at
@@ -102,7 +102,6 @@ from repro.graphs.shortest_paths import multi_source_distances
 __all__ = [
     "ShardWorkerError",
     "ShardTransport",
-    "PipeTransport",
     "RecoveryPolicy",
     "ShardWorkerPool",
     "ShardSolverBackend",
@@ -110,10 +109,10 @@ __all__ = [
 ]
 
 #: ``placement=`` spec strings accepted by the sharded evaluator (and
-#: therefore by the ``--shard-placement`` CLI flag).  ``"socket"``
-#: places each shard behind a :mod:`repro.shard_server` connection (an
-#: auto-spawned same-host server by default, explicit ``shard_hosts``
-#: for multi-host fabrics).
+#: therefore by the ``--shard-placement`` CLI flag).  ``"process"`` and
+#: host-less ``"socket"`` run the same code (one forked child per
+#: shard); ``"socket"`` with ``shard_hosts`` connects each shard to a
+#: running :mod:`repro.shard_server` instead.
 PLACEMENT_SPECS = ("local", "process", "socket")
 
 
@@ -439,9 +438,9 @@ def serve_request(state: _WorkerState, message: Tuple) -> Tuple[Tuple, bool]:
 
     Returns ``(reply, stop)`` where ``reply`` is the ``("ok", payload)``
     / ``("error", traceback)`` pair to put on the wire and ``stop``
-    signals an orderly shutdown.  Shared verbatim by the pipe worker
-    loop and the socket server (:mod:`repro.shard_server`), so the two
-    placements cannot drift apart protocol-wise.
+    signals an orderly shutdown.  Called by the one worker loop,
+    :func:`repro.core.transport.serve_connection`, which shard-server
+    threads and forked same-host shards both run.
     """
     kind = message[0]
     try:
@@ -477,38 +476,16 @@ def serve_request(state: _WorkerState, message: Tuple) -> Tuple[Tuple, bool]:
         return ("error", traceback.format_exc()), False
 
 
-def _worker_main(
-    conn,
-    lo: int,
-    hi: int,
-    dmat: np.ndarray,
-    backend: str,
-    dynamic: bool = True,
-) -> None:
-    """Worker process entry point: serve requests until ``stop``/EOF."""
-    state = _WorkerState(lo, hi, dmat, backend, dynamic)
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):  # coordinator went away
-            return
-        reply, stop = serve_request(state, message)
-        conn.send(reply)
-        if stop:
-            return
-
-
 # ----------------------------------------------------------------------
 # Coordinator side
 # ----------------------------------------------------------------------
 class ShardTransport:
     """One ordered request/reply channel to a shard worker.
 
-    The seam that keeps the *placement* of a shard separate from how
-    messages reach it: :class:`PipeTransport` is the in-host default and
-    :class:`~repro.core.transport.SocketTransport` serves the same
-    protocol from a standalone server, without touching
-    :class:`ShardWorkerPool` or the evaluator.
+    The seam between :class:`ShardWorkerPool` and the wire:
+    :class:`~repro.core.transport.SocketTransport` fills it for every
+    placement, and :mod:`repro.faults.injection` wraps it to inject
+    faults, without touching the pool or the evaluator.
 
     ``request`` is split into :meth:`send` / :meth:`recv` halves so the
     pool can *pipeline* a broadcast — send to every worker, then collect
@@ -528,6 +505,10 @@ class ShardTransport:
         self.send(message)
         return self.recv()
 
+    def kill(self) -> None:
+        """Kill the worker abruptly, without a ``stop`` (chaos drills)."""
+        raise NotImplementedError
+
     def close(self) -> None:
         """Tear the channel (and any owned worker) down; idempotent."""
 
@@ -535,131 +516,6 @@ class ShardTransport:
     def alive(self) -> bool:
         """Whether the far side is still expected to answer."""
         return False
-
-
-class PipeTransport(ShardTransport):
-    """A forked worker process behind a ``multiprocessing`` pipe.
-
-    Uses the ``fork`` start method where available so the worker
-    inherits the coordinator's distance matrix without pickling it; the
-    spawn fallback ships ``dmat`` once at startup.  Workers are daemonic
-    — the OS reaps them if the coordinator dies without closing.
-    """
-
-    def __init__(
-        self,
-        lo: int,
-        hi: int,
-        dmat: np.ndarray,
-        backend: str,
-        dynamic: bool = True,
-    ):
-        import multiprocessing
-
-        context = multiprocessing
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        parent, child = context.Pipe()
-        self._conn = parent
-        self._process = context.Process(
-            target=_worker_main,
-            args=(child, lo, hi, dmat, backend, dynamic),
-            daemon=True,
-            name=f"repro-shard-{lo}-{hi}",
-        )
-        self._process.start()
-        child.close()  # the worker holds its own copy of the fd
-
-    @property
-    def name(self) -> str:
-        return self._process.name
-
-    def send(self, message: Tuple) -> None:
-        # A worker found dead *before* anything goes on the wire never
-        # saw this request: that is the recoverable case (respawn and
-        # retry cannot double-apply anything), and the message contract
-        # keeps it distinguishable from a mid-request death.
-        try:
-            alive = self._process.is_alive()
-        except ValueError:
-            raise ShardWorkerError(
-                f"shard worker {self._process.name} transport is closed"
-            ) from None
-        if not alive:
-            raise ShardWorkerError(
-                f"shard worker {self._process.name} died between requests "
-                f"(exit code {self._process.exitcode})"
-            )
-        try:
-            self._conn.send(message)
-        except (EOFError, OSError, BrokenPipeError) as error:
-            raise ShardWorkerError(
-                f"shard worker {self._process.name} died mid-request "
-                f"({type(error).__name__})"
-            ) from error
-
-    def recv(self):
-        try:
-            kind, payload = self._conn.recv()
-        except (EOFError, OSError) as error:
-            raise ShardWorkerError(
-                f"shard worker {self._process.name} died mid-request "
-                f"({type(error).__name__})"
-            ) from error
-        if kind == "error":
-            raise ShardWorkerError(
-                f"shard worker {self._process.name} failed:\n{payload}"
-            )
-        return payload
-
-    @property
-    def alive(self) -> bool:
-        try:
-            return self._process.is_alive()
-        except ValueError:  # handle released by close()
-            return False
-
-    def kill(self) -> None:
-        """SIGKILL the worker (chaos drills); the pipe is left to close().
-
-        The connection stays open so an in-flight ``recv`` observes the
-        genuine EOF (a *mid-request* death), while the next ``send``
-        finds the process dead first (*between requests*).
-        """
-        if self._process.is_alive():
-            self._process.kill()
-        self._process.join(timeout=5)
-
-    def close(self) -> None:
-        _stop_pipe_worker(self._conn, self._process)
-
-
-def _stop_pipe_worker(conn, process) -> None:
-    """Stop one pipe worker; safe to call repeatedly or post-mortem."""
-    try:
-        alive = process.is_alive()
-    except ValueError:  # process handle already released: repeat close
-        return
-    if alive:
-        try:
-            conn.send(("stop",))
-            # Bounded: close() also runs from the GC finalizer, and a
-            # stuck worker must not hang whatever triggered collection.
-            if conn.poll(5):
-                conn.recv()
-        except (EOFError, OSError):  # already gone / pipe torn
-            pass
-        process.join(timeout=5)
-        if process.is_alive():  # pragma: no cover - stuck worker
-            process.terminate()
-            process.join(timeout=5)
-    conn.close()
-    try:
-        # Release the dead process's OS handles (sentinel pipe) now
-        # instead of at GC time — the chaos drills count leaked fds.
-        process.close()
-    except ValueError:  # pragma: no cover - stuck worker still alive
-        pass
 
 
 class RecoveryPolicy:
@@ -730,10 +586,15 @@ class ShardWorkerPool:
         plan: ShardPlan,
         dmat: np.ndarray,
         backend: str = "auto",
-        transport_factory=PipeTransport,
+        transport_factory=None,
         dynamic_repair: bool = True,
         recovery=None,
     ) -> None:
+        if transport_factory is None:
+            # Deferred import: the transport module imports this one.
+            from repro.core.transport import SocketTransport
+
+            transport_factory = SocketTransport.forked
         self._plan = plan
         self._n = plan.n
         self._factory = transport_factory
@@ -765,23 +626,17 @@ class ShardWorkerPool:
                     transport_factory(lo, hi, dmat, backend, dynamic_repair)
                 )
         except Exception:
-            for transport in transports:
-                transport.close()
-            _close_factory(transport_factory)
+            ShardWorkerPool._shutdown(transports)
             raise
         self._transports = transports
         self._finalizer = weakref.finalize(
-            self, ShardWorkerPool._shutdown, transports, transport_factory
+            self, ShardWorkerPool._shutdown, transports
         )
 
     @staticmethod
-    def _shutdown(transports: List[ShardTransport], factory=None) -> None:
+    def _shutdown(transports: List[ShardTransport]) -> None:
         for transport in transports:
             transport.close()
-        # Stateful factories (the socket launcher) own placement-level
-        # resources — an auto-spawned server process, its socket file —
-        # that outlive any one transport; reap them after the workers.
-        _close_factory(factory)
 
     # -- lifecycle ------------------------------------------------------
     def close(self) -> None:
@@ -809,16 +664,11 @@ class ShardWorkerPool:
     def kill_worker(self, shard: int) -> None:
         """Kill one shard's worker outright (chaos drills).
 
-        Uses the transport's ``kill`` when it has one (SIGKILL for pipe
-        workers, abrupt stream teardown for sockets) so recovery faces a
-        genuine crash, not an orderly stop.
+        SIGKILL for a same-host shard's child, abrupt stream teardown
+        for a remote one, so recovery faces a genuine crash, not an
+        orderly stop.
         """
-        transport = self._transports[shard]
-        kill = getattr(transport, "kill", None)
-        if callable(kill):
-            kill()
-        else:  # pragma: no cover - every shipped transport has kill()
-            transport.close()
+        self._transports[shard].kill()
 
     # -- profile sync ---------------------------------------------------
     def reset(self, profile: StrategyProfile, model_spec=None) -> None:
@@ -858,8 +708,8 @@ class ShardWorkerPool:
         """Replace a dead shard worker and rebuild its mirrored state.
 
         The old transport is torn down, a replacement comes from the
-        same factory (socket factories also resurrect an auto-spawned
-        server that died with its worker), and the pool's mirrored
+        same factory (a fresh child for a same-host shard, a fresh
+        connection for a remote one), and the pool's mirrored
         profile history — one ``reset`` plus every rebind since, in
         order — is replayed so the new worker's overlay is byte-for-byte
         the state the dead one held.  Raises :class:`ShardWorkerError`
@@ -1065,15 +915,6 @@ class ShardWorkerPool:
             f"ShardWorkerPool(k={self._plan.k}, n={self._n}, "
             f"closed={self.closed})"
         )
-
-
-def _close_factory(factory) -> None:
-    """Close a stateful transport factory (classes have nothing to own)."""
-    if factory is None or isinstance(factory, type):
-        return
-    close = getattr(factory, "close", None)
-    if callable(close):
-        close()
 
 
 # ----------------------------------------------------------------------

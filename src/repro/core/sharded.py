@@ -562,18 +562,19 @@ class ShardedEvaluator(GameEvaluator):
         (:class:`~repro.core.shard_workers.ShardWorkerPool`) serving
         ``distance_rows`` and O(n/k) stretch reductions over a narrow
         request/reply transport, so the coordinator process holds *no*
-        distance blocks at all — or ``"socket"``, the same worker pool
-        behind :class:`~repro.core.transport.SocketTransport`
-        connections to standalone :mod:`repro.shard_server` processes
-        (auto-spawned on this host by default; see ``shard_hosts``).
+        distance blocks at all — or ``"socket"``, which without
+        ``shard_hosts`` is the same thing (one forked child per shard
+        behind a :class:`~repro.core.transport.SocketTransport`) and
+        with them connects each shard to a standalone
+        :mod:`repro.shard_server` instead.
         Strategic queries are identical in every placement (they never
         touch the distance layer); cost queries stream the same
         per-shard reductions, computed from the same bytes.
     shard_hosts:
         Socket placement only: ``"host:port"`` / ``"unix:/path"``
         addresses of running shard servers; shards round-robin across
-        them.  ``None`` (default) auto-spawns one private same-host
-        server, so no external setup is needed.
+        them.  ``None`` (default) forks the shards on this host, so no
+        external setup is needed.
     dynamic_repair:
         Inherited switch (see :class:`~repro.core.evaluator.
         GameEvaluator`): when True the resident row blocks — local ones
@@ -648,14 +649,19 @@ class ShardedEvaluator(GameEvaluator):
             dynamic_repair=dynamic_repair,
         )
         if placement in ("process", "socket"):
-            from repro.core.shard_workers import PipeTransport, ShardWorkerPool
+            from repro.core.shard_workers import ShardWorkerPool
+            from repro.core.transport import (
+                SocketTransport,
+                SocketTransportFactory,
+            )
 
-            if placement == "socket":
-                from repro.core.transport import SocketTransportFactory
-
-                factory = SocketTransportFactory(shard_hosts)
-            else:
-                factory = PipeTransport
+            # A shard differs only in how its socket is obtained:
+            # connect to a listed host, or fork a same-host child.
+            factory = (
+                SocketTransportFactory(shard_hosts)
+                if shard_hosts
+                else SocketTransport.forked
+            )
             if fault_plan is not None and not fault_plan.is_null:
                 from repro.faults.injection import FaultyTransportFactory
 

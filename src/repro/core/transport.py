@@ -1,9 +1,9 @@
-"""Socket transport for shard workers: framing codec + client + launcher.
+"""The shard wire: framing codec, worker loop, client transport, placement.
 
 :class:`~repro.core.shard_workers.ShardWorkerPool` talks to its shards
 through the narrow :class:`~repro.core.shard_workers.ShardTransport`
-request/reply protocol.  PR 5's :class:`PipeTransport` keeps workers on
-the coordinator's host; this module takes them off it:
+request/reply protocol, and every shard, on this host or another,
+speaks it over one byte stream with one codec:
 
 * A **length-prefixed binary framing codec** (:func:`encode_frame` /
   :func:`read_frame`) carries the protocol over any byte stream.  The
@@ -15,18 +15,19 @@ the coordinator's host; this module takes them off it:
   the small control values (op names, peer ids, stats dicts) ride in a
   pickle envelope.  Dispatch cost is therefore independent of payload
   *kind*: no row ever round-trips through pickle's object machinery.
-* :class:`SocketTransport` speaks the existing ``reset`` / ``rebind`` /
-  ``rows`` / ``sums`` / ``solve`` / ``stats`` / ``ping`` / ``stop``
-  protocol over a TCP or Unix-domain socket against a standalone
-  :mod:`repro.shard_server` (one ``init`` handshake ships the shard
-  bounds and distance matrix, then the connection serves the same
-  strictly-ordered request/reply stream a pipe would).
-* :class:`SocketTransportFactory` is the launcher/placement half: given
-  ``shard_hosts`` it round-robins shards across the listed servers;
-  given none it **auto-spawns** a private same-host server on a
-  Unix-domain socket (``repro-shard-<pid>-<token>.sock`` in the temp
-  dir), so tests and CI need no external setup.  The factory owns the
-  spawned server's lifecycle — the pool closes it after the transports.
+* :func:`serve_connection` is the one worker loop.  An ``("init", lo,
+  hi, dmat, options)`` handshake builds the shard's worker state, then
+  the stream serves the ``reset`` / ``rebind`` / ``rows`` / ``sums`` /
+  ``solve`` / ``stats`` / ``ping`` / ``stop`` protocol until ``stop`` or
+  EOF.  A :mod:`repro.shard_server` runs it on one thread per accepted
+  connection; a same-host shard runs it in its own forked child.
+* :class:`SocketTransport` is the coordinator's end of the stream.
+  :meth:`SocketTransport.forked` places a shard on this host: one child
+  process per shard, named ``repro-shard-<lo>-<hi>``, serving one end of
+  a ``socket.socketpair()``.  :class:`SocketTransportFactory`
+  round-robins shards across running shard servers (``shard_hosts``)
+  instead.  The two differ only in how the socket was obtained: fork or
+  connect.
 
 Wire format (all integers big-endian)::
 
@@ -45,20 +46,22 @@ raises :class:`FramingError`; a clean EOF *between* frames raises
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import socket
 import struct
-import subprocess
-import sys
-import tempfile
 import time
-import uuid
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.shard_workers import ShardTransport, ShardWorkerError
+from repro.core.shard_workers import (
+    ShardTransport,
+    ShardWorkerError,
+    _WorkerState,
+    serve_request,
+)
 
 __all__ = [
     "FramingError",
@@ -75,6 +78,7 @@ __all__ = [
     "create_listener",
     "bound_address",
     "connect_address",
+    "serve_connection",
     "SocketTransport",
     "SocketTransportFactory",
 ]
@@ -329,9 +333,8 @@ def create_listener(address: Union[str, Address], backlog: int = 16) -> socket.s
     """A bound, listening server socket for ``address``.
 
     TCP port 0 binds an ephemeral port (read it back through
-    :func:`bound_address`); a stale Unix socket path is unlinked first —
-    the ``repro-shard-*`` name is namespaced per pid, so a leftover can
-    only be a dead predecessor's.
+    :func:`bound_address`); a stale Unix socket path (a dead
+    predecessor's) is unlinked first.
     """
     address = parse_address(address)
     if address[0] == "unix":
@@ -407,21 +410,134 @@ def connect_address(
 
 
 # ----------------------------------------------------------------------
+# Worker loop
+# ----------------------------------------------------------------------
+#: Worker options the ``init`` handshake may set (anything else is a
+#: client/server version skew and is rejected before state is built).
+_INIT_OPTIONS = frozenset({"backend", "dynamic"})
+
+
+def _quiet(_message: str) -> None:
+    pass
+
+
+def serve_connection(
+    conn: socket.socket, log: Callable[[str], None] = _quiet
+) -> None:
+    """Serve one shard over ``conn`` until ``stop`` or EOF, then close it.
+
+    The first frame must be a well-formed ``("init", lo, hi, dmat,
+    options)`` handshake; anything else is refused with an ``("error",
+    ...)`` frame before any state is built.  Shard-server threads and
+    forked same-host shards both run this loop, so every placement
+    shares one handshake, one set of refusals and one request loop.
+    """
+    state: Optional[_WorkerState] = None
+    try:
+        message = read_frame(conn.recv)
+        if (
+            not isinstance(message, tuple)
+            or len(message) != 5
+            or message[0] != "init"
+        ):
+            send_frame(conn, ("error", "expected an 'init' handshake"))
+            return
+        _kind, lo, hi, dmat, options = message
+        unknown = set(options) - _INIT_OPTIONS
+        if unknown:
+            send_frame(
+                conn, ("error", f"unknown init options {sorted(unknown)}")
+            )
+            return
+        state = _WorkerState(int(lo), int(hi), dmat, **options)
+        send_frame(conn, ("ok", None))
+        log(f"shard [{lo}, {hi}) connected")
+        while True:
+            message = read_frame(conn.recv)
+            reply, stop = serve_request(state, message)
+            send_frame(conn, reply)
+            if stop:
+                return
+    except EOFError:
+        pass  # the client went away without a stop; that's fine
+    except (FramingError, OSError) as error:
+        log(f"connection dropped: {error}")
+    finally:
+        conn.close()
+        if state is not None:
+            log(f"shard [{state.lo}, {state.hi}) disconnected")
+
+
+def _forked_shard_main(
+    conn: socket.socket, inherited: Optional[socket.socket]
+) -> None:
+    """Entry point of a same-host shard's child process."""
+    if inherited is not None:
+        # A forked child holds a copy of the coordinator's end too;
+        # keeping it would hide the coordinator's hang-up from this loop.
+        inherited.close()
+    serve_connection(conn)
+
+
+def _start_shard_child(name: str):
+    """Start a child running :func:`serve_connection` on a socketpair.
+
+    Returns ``(sock, process)``: the coordinator's end and the child.
+    The ``fork`` start method is used where the platform has it, so no
+    interpreter starts; elsewhere multiprocessing passes the socket end
+    to a spawned child.
+    """
+    import multiprocessing
+
+    forking = "fork" in multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if forking else None)
+    ours, theirs = socket.socketpair()
+    with theirs:  # the child holds its own copy once started
+        process = context.Process(
+            target=_forked_shard_main,
+            args=(theirs, ours if forking else None),
+            daemon=True,
+            name=name,
+        )
+        try:
+            process.start()
+        except BaseException:
+            ours.close()
+            raise
+    return ours, process
+
+
+def _reap(process) -> None:
+    """Join a shard's child (terminating it if stuck); free its handle."""
+    process.join(timeout=5)
+    if process.is_alive():  # pragma: no cover - stuck child
+        process.terminate()
+        process.join(timeout=5)
+    try:
+        # Release the sentinel fd now instead of at GC time: the chaos
+        # drills count leaked fds.
+        process.close()
+    except ValueError:  # pragma: no cover - still alive after terminate
+        pass
+
+
+# ----------------------------------------------------------------------
 # Client transport
 # ----------------------------------------------------------------------
 class SocketTransport(ShardTransport):
-    """One shard served by a remote :mod:`repro.shard_server` connection.
+    """The coordinator's end of one shard's stream.
 
-    The connection opens with an ``("init", lo, hi, dmat, options)``
-    handshake that makes the server-side worker state, then carries the
-    standard protocol — the same strictly-ordered request/reply stream
-    as a pipe, so :class:`~repro.core.shard_workers.ShardWorkerPool`
-    cannot tell the difference (which is the point of the seam).
+    ``endpoint`` says where the shard runs: the address of a
+    :mod:`repro.shard_server` (connected with bounded retry-with-backoff,
+    see ``connect_timeout``) or an already-connected socket (one
+    handshake attempt, no retry).  The stream opens with an ``("init",
+    lo, hi, dmat, options)`` handshake that builds the shard's worker
+    state, then carries the strictly-ordered request/reply protocol.
     """
 
     def __init__(
         self,
-        address: Union[str, Address],
+        endpoint: Union[str, Address, socket.socket],
         lo: int,
         hi: int,
         dmat: np.ndarray,
@@ -433,10 +549,15 @@ class SocketTransport(ShardTransport):
         # Defaults first: close() must be a no-op if the connect or
         # handshake below never succeeds.
         self._sock: Optional[socket.socket] = None
+        #: The child serving a same-host shard (set by :meth:`forked`).
+        self._process = None
         self._closed = False
         self._dead = False
-        self._address = parse_address(address)
-        self._name = f"repro-shard-{lo}-{hi}@{format_address(self._address)}"
+        connected = isinstance(endpoint, socket.socket)
+        self._name = f"repro-shard-{lo}-{hi}"
+        if not connected:
+            address = parse_address(endpoint)
+            self._name += f"@{format_address(address)}"
         init_message = (
             "init",
             int(lo),
@@ -456,20 +577,25 @@ class SocketTransport(ShardTransport):
         )
         backoff = INITIAL_BACKOFF_S
         while True:
-            sock: Optional[socket.socket] = None
+            sock = endpoint if connected else None
             try:
-                remaining = (
-                    None
-                    if deadline is None
-                    else max(0.0, deadline - time.monotonic())
-                )
-                sock = connect_address(self._address, timeout=remaining)
+                if sock is None:
+                    remaining = (
+                        None
+                        if deadline is None
+                        else max(0.0, deadline - time.monotonic())
+                    )
+                    sock = connect_address(address, timeout=remaining)
                 send_frame(sock, init_message)
-                reply = recv_frame(sock)
+                kind, payload = recv_frame(sock)
             except (EOFError, FramingError, OSError) as error:
                 if sock is not None:
                     sock.close()
-                if deadline is None or time.monotonic() >= deadline:
+                if (
+                    connected
+                    or deadline is None
+                    or time.monotonic() >= deadline
+                ):
                     self._closed = True
                     raise ShardWorkerError(
                         f"shard worker {self._name} never came up "
@@ -482,7 +608,6 @@ class SocketTransport(ShardTransport):
                     sock.close()
                 self._closed = True
                 raise
-            kind, payload = reply
             if kind == "error":
                 sock.close()
                 self._closed = True
@@ -490,14 +615,39 @@ class SocketTransport(ShardTransport):
                     f"shard worker {self._name} failed:\n{payload}"
                 )
             self._sock = sock
-            break
+            return
+
+    @classmethod
+    def forked(
+        cls,
+        lo: int,
+        hi: int,
+        dmat: np.ndarray,
+        backend: str = "auto",
+        dynamic: bool = True,
+    ) -> "SocketTransport":
+        """Place one shard on this host: a child process on a socketpair.
+
+        The child runs :func:`serve_connection` on one end of a
+        ``socket.socketpair()``; the returned transport holds the other
+        end and owns the child (:meth:`kill` SIGKILLs it, :meth:`close`
+        reaps it).
+        """
+        sock, process = _start_shard_child(f"repro-shard-{lo}-{hi}")
+        try:
+            transport = cls(sock, lo, hi, dmat, backend, dynamic)
+        except BaseException:
+            _reap(process)
+            raise
+        transport._process = process
+        return transport
 
     @property
     def name(self) -> str:
         return self._name
 
     def _peer_hung_up(self) -> bool:
-        """Whether the server already closed its end (without blocking).
+        """Whether the shard already closed its end (without blocking).
 
         The protocol is strict request/reply, so outside an exchange the
         inbound stream must be silent: a non-blocking peek that returns
@@ -523,7 +673,7 @@ class SocketTransport(ShardTransport):
             self._dead = True
             raise ShardWorkerError(
                 f"shard worker {self._name} died between requests "
-                f"(connection closed by server)"
+                f"(connection closed by the shard)"
             )
         try:
             send_frame(self._sock, message)
@@ -550,142 +700,73 @@ class SocketTransport(ShardTransport):
             )
         return payload
 
-    def request(self, message: Tuple):
-        self.send(message)
-        return self.recv()
-
     @property
     def alive(self) -> bool:
         return not (self._closed or self._dead)
 
     def kill(self) -> None:
-        """Tear the stream down abruptly (chaos drills): no ``stop``.
+        """Kill the shard abruptly (chaos drills): no ``stop``.
 
-        The server sees an unexpected EOF on a live connection — the
-        same signature as a client host dying — and discards that
-        connection's worker state; the transport reports *between
-        requests* on its next send.
+        A same-host shard's child is SIGKILLed and reaped while the
+        socket stays open, so an in-flight :meth:`recv` sees the EOF
+        (*died mid-request*) and the next :meth:`send` reports *died
+        between requests*.  A remote shard's stream is torn down
+        instead: its server sees the EOF of a vanished client and drops
+        that connection's worker state.
         """
         if self._closed or self._dead:
             return
         self._dead = True
-        if self._sock is not None:
+        if self._process is not None:
+            self._process.kill()
+            self._process.join(timeout=5)
+        else:
             self._sock.close()
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        if self._sock is None:  # failed init: nothing to release
-            return
-        if not self._dead:
-            try:
-                send_frame(self._sock, ("stop",))
-                self._sock.settimeout(5.0)
-                recv_frame(self._sock)
-            except (EOFError, FramingError, OSError):
-                pass  # already gone; the socket close below suffices
-        self._sock.close()
+        if self._sock is not None:
+            if not self._dead:
+                try:
+                    send_frame(self._sock, ("stop",))
+                    # Bounded: close() also runs from the pool's GC
+                    # finalizer, and a stuck shard must not hang
+                    # whatever triggered collection.
+                    self._sock.settimeout(5.0)
+                    recv_frame(self._sock)
+                except (EOFError, FramingError, OSError):
+                    pass  # already gone; the socket close below suffices
+            self._sock.close()
+        if self._process is not None:
+            _reap(self._process)
 
 
 # ----------------------------------------------------------------------
-# Launcher / placement
+# Placement on running shard servers
 # ----------------------------------------------------------------------
 class SocketTransportFactory:
-    """Place shard workers on socket servers (auto-spawning by default).
+    """Round-robin shards across running shard servers (``shard_hosts``).
 
     Drop-in for the ``transport_factory`` seam of
     :class:`~repro.core.shard_workers.ShardWorkerPool`: called once per
-    shard with ``(lo, hi, dmat, backend, dynamic)``, returns a connected
-    :class:`SocketTransport`.  With explicit ``hosts`` the shards
-    round-robin across them (several shards per server are fine — each
-    connection gets its own worker state).  Without hosts the factory
-    spawns one private same-host server over a Unix-domain socket and
-    points every shard at it; the server exits by itself once its last
-    connection closes (``--auto-exit``), and :meth:`close` reaps the
-    process and unlinks the socket as a backstop.
+    shard with ``(lo, hi, dmat, backend, dynamic)``, returns a
+    :class:`SocketTransport` connected to the next listed server.
+    Several shards may share one server; each connection gets its own
+    worker state.
     """
 
     def __init__(
-        self,
-        hosts: Optional[Sequence[str]] = None,
-        *,
-        connect_timeout: float = 20.0,
+        self, hosts: Sequence[str], *, connect_timeout: float = 20.0
     ) -> None:
-        hosts = [h for h in (hosts or []) if str(h).strip()]
-        self._addresses: List[Address] = [parse_address(h) for h in hosts]
+        self._addresses: List[Address] = [
+            parse_address(host) for host in hosts if str(host).strip()
+        ]
+        if not self._addresses:
+            raise ValueError("SocketTransportFactory needs at least one host")
         self._connect_timeout = connect_timeout
-        self._server: Optional[subprocess.Popen] = None
-        self._socket_path: Optional[str] = None
-        self._next = 0
-        #: How many times a dead auto-spawned server was replaced; the
-        #: chaos harness asserts restart/reconnect actually happened.
-        self.server_restarts = 0
-
-    def _reap_dead_server(self) -> bool:
-        """Clear out an auto-spawned server that has exited; True if so.
-
-        Restart/reconnect handling for the spawned placement: when the
-        private server died (crash, kill, OOM), the next placement or
-        respawn must not connect to its stale socket and time out — the
-        factory reaps the corpse, unlinks the socket path, and lets
-        :meth:`_ensure_addresses` spawn a fresh server.
-        """
-        if self._server is None or self._server.poll() is None:
-            return False
-        self._server.wait()
-        self._server = None
-        path, self._socket_path = self._socket_path, None
-        if path is not None:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
-        self._addresses = []
-        self.server_restarts += 1
-        return True
-
-    def kill_server(self) -> None:
-        """SIGKILL the auto-spawned server (chaos drills); no-op otherwise.
-
-        The next transport request observes the dead connection, and the
-        next placement through the factory spawns a replacement server.
-        """
-        if self._server is not None and self._server.poll() is None:
-            self._server.kill()
-            self._server.wait()
-
-    def _ensure_addresses(self) -> None:
-        self._reap_dead_server()
-        if self._addresses:
-            return
-        path = os.path.join(
-            tempfile.gettempdir(),
-            f"repro-shard-{os.getpid()}-{uuid.uuid4().hex[:8]}.sock",
-        )
-        import repro
-
-        package_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        env = dict(os.environ)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            package_root if not existing else package_root + os.pathsep + existing
-        )
-        self._server = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.shard_server",
-                "--listen",
-                f"unix:{path}",
-                "--auto-exit",
-                "--quiet",
-            ],
-            env=env,
-            stdout=subprocess.DEVNULL,
-        )
-        self._socket_path = path
-        self._addresses = [("unix", path)]
+        self._turns = itertools.count()
 
     def __call__(
         self,
@@ -695,9 +776,7 @@ class SocketTransportFactory:
         backend: str = "auto",
         dynamic: bool = True,
     ) -> SocketTransport:
-        self._ensure_addresses()
-        address = self._addresses[self._next % len(self._addresses)]
-        self._next += 1
+        address = self._addresses[next(self._turns) % len(self._addresses)]
         try:
             return SocketTransport(
                 address,
@@ -708,33 +787,8 @@ class SocketTransportFactory:
                 dynamic,
                 connect_timeout=self._connect_timeout,
             )
-        except (OSError, ShardWorkerError) as error:
-            detail = format_address(address)
-            if self._server is not None and self._server.poll() is not None:
-                detail += (
-                    f" (auto-spawned server exited with "
-                    f"code {self._server.returncode})"
-                )
+        except ShardWorkerError as error:
             raise ShardWorkerError(
-                f"could not place shard [{lo}, {hi}) on {detail}: {error}"
+                f"could not place shard [{lo}, {hi}) on "
+                f"{format_address(address)}: {error}"
             ) from error
-
-    def close(self) -> None:
-        """Reap the auto-spawned server (if any); idempotent."""
-        server, self._server = self._server, None
-        if server is not None:
-            try:
-                server.wait(timeout=10)
-            except subprocess.TimeoutExpired:  # pragma: no cover - stuck server
-                server.terminate()
-                try:
-                    server.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    server.kill()
-                    server.wait()
-        path, self._socket_path = self._socket_path, None
-        if path is not None:
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass

@@ -71,7 +71,7 @@ def run(
     each shard's distance block into its own worker process,
     ``shard_placement="socket"`` hosts those workers behind
     :mod:`repro.shard_server` processes (``shard_hosts`` names the
-    servers, ``None`` auto-spawns one same-host), and
+    servers; ``None`` forks the shards on this host), and
     ``max_resident_shards`` budgets the locally resident blocks
     (identical results; the CLI's ``--shards`` /
     ``--shard-placement`` / ``--shard-hosts`` /

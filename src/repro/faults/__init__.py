@@ -14,7 +14,7 @@ The package splits "who misbehaves" three ways:
   caches (the self-stabilization transient-fault model).
 * :mod:`~repro.faults.scenarios` — the registered adversarial families
   reporting social-cost degradation and recovery time.
-* :mod:`~repro.faults.chaos` — drills that kill real worker/server
+* :mod:`~repro.faults.chaos` — drills that kill real shard worker
   processes and assert bit-identical recovery with zero leaks.
 """
 

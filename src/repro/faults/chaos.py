@@ -1,9 +1,9 @@
 """Chaos drills: kill real processes, assert bounded recovery.
 
 Where :mod:`repro.faults.scenarios` attacks the *game*, the drills here
-attack the *fabric*: they kill actual shard worker processes and shard
-servers mid-run and assert the three recovery properties the ROADMAP
-demands of the service tier:
+attack the *fabric*: they kill actual shard worker processes mid-run —
+one at a time, or every shard at once — and assert the three recovery
+properties the ROADMAP demands of the service tier:
 
 1. **Bounded recovery** — the run completes, every kill produces a
    worker-recovery event with a measured recovery time, and results are
@@ -14,7 +14,7 @@ demands of the service tier:
    digest: faults may slow epochs down, never change what they commit.
 3. **No leaks** — after ``close()`` the drill's process tree and file
    descriptor table are back to their pre-drill size: no orphaned
-   workers, servers, pipes, or sockets.
+   workers or sockets.
 
 Each drill returns a :class:`ChaosReport`; ``recovery_seconds`` carries
 wall-clock times (the only nondeterministic fields — everything else is
@@ -62,7 +62,6 @@ class ChaosReport:
     kills: int
     recoveries: int
     recovery_seconds: Tuple[float, ...]
-    server_restarts: int
     replay_identical: Optional[bool]
     results_identical: Optional[bool]
     leaked_processes: int
@@ -88,7 +87,6 @@ class ChaosReport:
             "kills": self.kills,
             "recoveries": self.recoveries,
             "recovery_seconds": list(self.recovery_seconds),
-            "server_restarts": self.server_restarts,
             "replay_identical": self.replay_identical,
             "results_identical": self.results_identical,
             "leaked_processes": self.leaked_processes,
@@ -188,9 +186,7 @@ def worker_kill_drill(
             if killed < kills:
                 evaluator.worker_pool.kill_worker(killed % shards)
                 killed += 1
-        pool = evaluator.worker_pool
-        events = list(pool.recovery_events)
-        restarts = getattr(pool._factory, "server_restarts", 0)
+        events = list(evaluator.worker_pool.recovery_events)
     finally:
         evaluator.close()
     time.sleep(0.05)  # let killed children finish reaping
@@ -201,7 +197,6 @@ def worker_kill_drill(
         kills=killed,
         recoveries=len(events),
         recovery_seconds=tuple(event["seconds"] for event in events),
-        server_restarts=restarts,
         replay_identical=None,
         results_identical=trajectory == expected,
         leaked_processes=max(0, _live_children() - procs_before),
@@ -221,12 +216,11 @@ def server_restart_drill(
     sweeps: int = 3,
     method: str = "greedy",
 ) -> ChaosReport:
-    """SIGKILL the auto-spawned shard *server* mid-run.
+    """SIGKILL every shard's process at once mid-run.
 
-    Every socket transport dies at once; recovery must reap the dead
-    server, spawn a fresh one, reconnect every shard, replay protocol
-    history, and finish with bit-identical results — the shard-server
-    restart/reconnect story the ROADMAP carried.
+    Every transport dies together, as when a whole shard host goes
+    down; recovery must respawn all ``shards`` workers, replay their
+    protocol history, and finish with bit-identical results.
     """
     from repro.core.sharded import build_sharded_evaluator
 
@@ -236,20 +230,20 @@ def server_restart_drill(
     fds_before = _open_fds()
     procs_before = _live_children()
     evaluator = build_sharded_evaluator(
-        game, profile, shards=shards, placement="socket", recovery=shards + 1
+        game, profile, shards=shards, placement="socket", recovery=True
     )
     try:
         trajectory: List[Tuple[int, float]] = []
         step, profile = _converge_sweeps(game, evaluator, profile, 1, method)
         trajectory.extend(step)
         pool = evaluator.worker_pool
-        pool._factory.kill_server()
+        for shard in range(pool.num_workers):
+            pool.kill_worker(shard)
         step, profile = _converge_sweeps(
             game, evaluator, profile, sweeps - 1, method
         )
         trajectory.extend(step)
         events = list(pool.recovery_events)
-        restarts = pool._factory.server_restarts
     finally:
         evaluator.close()
     time.sleep(0.05)
@@ -257,10 +251,9 @@ def server_restart_drill(
     return ChaosReport(
         name="server-restart",
         epochs=sweeps,
-        kills=1,
+        kills=shards,
         recoveries=len(events),
         recovery_seconds=tuple(event["seconds"] for event in events),
-        server_restarts=restarts,
         replay_identical=None,
         results_identical=trajectory == expected,
         leaked_processes=max(0, _live_children() - procs_before),
@@ -341,7 +334,6 @@ def service_chaos_drill(
         kills=len(events),
         recoveries=len(events),
         recovery_seconds=tuple(event["seconds"] for event in events),
-        server_restarts=0,
         replay_identical=replay_identical,
         results_identical=None,
         leaked_processes=leaked_processes,

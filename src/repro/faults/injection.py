@@ -12,9 +12,10 @@ function of the plan seed and the request sequence:
 * ``corrupt`` — let the request run, collect the real reply, then
   discard it and report a *mid-request* death (the reply bytes cannot
   be trusted, exactly as if the frame had been damaged in flight).
-* ``kill`` — kill the worker behind the transport for real (SIGKILL /
-  abrupt socket close), so recovery exercises the genuine EOF and
-  reconnect machinery, not a simulation of it.
+* ``kill`` — kill the worker behind the transport for real (SIGKILL
+  of a same-host shard's child, abrupt close of a remote shard's
+  stream), so recovery exercises the genuine EOF and respawn
+  machinery, not a simulation of it.
 
 :class:`FaultyTransportFactory` wraps a transport factory (the
 ``transport_factory`` seam of
@@ -107,14 +108,6 @@ class FaultyTransport(ShardTransport):
         return self._log
 
     # ------------------------------------------------------------------
-    def _kill_inner(self) -> None:
-        """Kill the worker behind the inner transport for real."""
-        kill = getattr(self._inner, "kill", None)
-        if callable(kill):
-            kill()
-        else:  # pragma: no cover - every shipped transport has kill()
-            self._inner.close()
-
     def send(self, message: Tuple) -> None:
         op = next(self._ops)
         action = self._plan.action(self._site, op)
@@ -139,7 +132,7 @@ class FaultyTransport(ShardTransport):
             )
         if action == "kill":
             self._pending_fault = "kill"
-            self._kill_inner()
+            self._inner.kill()
             raise ShardWorkerError(
                 f"{INJECTED} killed shard worker {self.name} (op {op}): "
                 f"worker died between requests"
@@ -181,7 +174,7 @@ class FaultyTransport(ShardTransport):
 
     def kill(self) -> None:
         """Expose the inner kill for chaos drills that bypass the plan."""
-        self._kill_inner()
+        self._inner.kill()
 
     def close(self) -> None:
         self._inner.close()
@@ -225,9 +218,3 @@ class FaultyTransportFactory:
         with self._lock:
             ops = self._site_ops.setdefault(site, itertools.count())
         return FaultyTransport(transport, self._plan, site, self.log, ops)
-
-    def close(self) -> None:
-        """Delegate placement-level teardown to the wrapped factory."""
-        close = getattr(self._inner, "close", None)
-        if callable(close) and not isinstance(self._inner, type):
-            close()

@@ -115,9 +115,10 @@ class ChurnSimulation:
         ``"local"`` (default), ``"process"`` — each epoch's sharded
         evaluator places its distance blocks in per-shard worker
         processes (:mod:`repro.core.shard_workers`), torn down at the
-        end of the epoch — or ``"socket"`` — the same workers behind
+        end of the epoch — or ``"socket"`` — the same workers, behind
         :mod:`repro.shard_server` processes reached over TCP/Unix
-        sockets.  Identical trajectories; requires ``shards``.
+        sockets when ``shard_hosts`` is given.  Identical trajectories;
+        requires ``shards``.
     max_resident_shards:
         Resident row-block budget of each epoch's sharded evaluator
         (local placement; default 1).  Requires ``shards`` and must not
@@ -125,7 +126,7 @@ class ChurnSimulation:
     shard_hosts:
         Socket placement only: shard-server addresses
         (``"host:port"`` / ``"unix:/path"``) to round-robin each
-        epoch's shards across; ``None`` auto-spawns a same-host server.
+        epoch's shards across; ``None`` forks the shards on this host.
     peer_policy:
         Optional :class:`~repro.faults.adversaries.PeerPolicy` applied
         to every solved best response before commit (Byzantine

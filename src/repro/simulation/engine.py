@@ -129,8 +129,8 @@ class SimulationEngine:
         ``"local"`` (default), ``"process"`` — place the sharded
         evaluator's distance blocks in one worker process per shard
         (:mod:`repro.core.shard_workers`) — or ``"socket"`` — the same
-        workers behind :mod:`repro.shard_server` processes reached over
-        TCP/Unix sockets (auto-spawned same-host by default).
+        workers, behind :mod:`repro.shard_server` processes reached over
+        TCP/Unix sockets when ``shard_hosts`` is given.
         Identical trajectories; requires ``shards``.
     max_resident_shards:
         Resident row-block budget of the owned sharded evaluator
@@ -139,7 +139,7 @@ class SimulationEngine:
     shard_hosts:
         Socket placement only: shard-server addresses
         (``"host:port"`` / ``"unix:/path"``) to round-robin shards
-        across; ``None`` auto-spawns a same-host server.
+        across; ``None`` forks the shards on this host.
 
     The engine owns the sharded evaluator and any backend resolved from
     a spec string, so it is a context manager: ``close()`` — or leaving

@@ -193,6 +193,16 @@ class TestLifecycle:
         backend.close()
         assert backend._pool is None
 
+    def test_process_backend_close_reaps_its_workers(self):
+        backend = ProcessBackend(workers=2)
+        game = _game(n=6)
+        with GameEvaluator(game, game.random_profile(0.5, seed=2)) as evaluator:
+            evaluator.gain_sweep("greedy", backend=backend)
+        workers = list(backend._pool._processes.values())
+        assert len(workers) == 2
+        backend.close()
+        assert not [worker for worker in workers if worker.is_alive()]
+
     def test_process_backend_requires_tasks_for_batches(self):
         backend = ProcessBackend(workers=2)
         with pytest.raises(RuntimeError, match="store-handle tasks"):

@@ -12,8 +12,10 @@ finalizer safety net, idempotent close).
 """
 
 import glob
+import multiprocessing
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -429,29 +431,80 @@ def _leaked_shard_sockets():
     )
 
 
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _pid_exists(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.fixture
+def shard_server(tmp_path):
+    """An in-process shard server on a Unix socket (one thread each)."""
+    from repro.shard_server import ShardServer
+
+    server = ShardServer(f"unix:{tmp_path / 'shard.sock'}")
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server
+    server.stop()
+    thread.join(timeout=10)
+
+
 class TestSocketPlacement:
     """Socket placement: same protocol, same bytes, over a real socket."""
 
-    def test_pool_rows_and_sums_match_pipe_transport(self):
+    def test_pool_rows_and_sums_match_a_shard_server(self, shard_server):
         game = _random_game(20, n=13)
         profile = game.random_profile(0.35, seed=8)
         with ShardWorkerPool(
             ShardPlan.build(game.n, 3), game.distance_matrix
-        ) as pipe_pool, ShardWorkerPool(
+        ) as forked_pool, ShardWorkerPool(
             ShardPlan.build(game.n, 3),
             game.distance_matrix,
-            transport_factory=SocketTransportFactory(),
-        ) as sock_pool:
-            for pool in (pipe_pool, sock_pool):
+            transport_factory=SocketTransportFactory([shard_server.address]),
+        ) as remote_pool:
+            for pool in (forked_pool, remote_pool):
                 pool.reset(profile)
             np.testing.assert_array_equal(
-                sock_pool.rows(range(game.n)), pipe_pool.rows(range(game.n))
+                remote_pool.rows(range(game.n)),
+                forked_pool.rows(range(game.n)),
             )
             for shard in range(3):
-                got = sock_pool.stretch_sums(shard)
-                expected = pipe_pool.stretch_sums(shard)
+                got = remote_pool.stretch_sums(shard)
+                expected = forked_pool.stretch_sums(shard)
                 np.testing.assert_array_equal(got[0], expected[0])
                 assert got[1] == expected[1]
+
+    def test_hostless_placement_forks_one_process_per_shard(self):
+        sockets_before = set(_leaked_shard_sockets())
+        fds_before = _open_fds()
+        game = _random_game(19, n=9)
+        evaluator = ShardedEvaluator(
+            game, game.random_profile(0.3, seed=7), shards=3,
+            placement="socket",
+        )
+        evaluator.social_cost()
+        processes = [t._process for t in evaluator.worker_pool._transports]
+        pids = [process.pid for process in processes]
+        assert len(set(pids)) == 3 and os.getpid() not in pids
+        assert [process.name for process in processes] == [
+            f"repro-shard-{lo}-{hi}" for lo, hi in evaluator.plan.bounds
+        ]
+        evaluator.close()
+        assert not any(_pid_exists(pid) for pid in pids)
+        assert not [
+            child
+            for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard-")
+        ]
+        assert _open_fds() <= fds_before
+        assert set(_leaked_shard_sockets()) == sockets_before
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_dynamics_identical_across_every_placement(self, shards):
@@ -599,50 +652,39 @@ class TestSocketFailureHandling:
 
     def test_killed_server_raises_named_shard_error(self):
         game = _random_game(29, n=8)
-        factory = SocketTransportFactory()
-        pool = ShardWorkerPool(
-            ShardPlan.build(game.n, 2),
-            game.distance_matrix,
-            transport_factory=factory,
-        )
+        pool = ShardWorkerPool(ShardPlan.build(game.n, 2), game.distance_matrix)
         try:
             pool.reset(game.empty_profile())
             pool.ping()
-            factory._server.kill()
-            factory._server.wait()
+            for transport in pool._transports:  # every shard's process
+                transport._process.kill()
+                transport._process.join()
             with pytest.raises(ShardWorkerError, match="repro-shard-"):
-                for _ in range(3):  # first request after the kill must raise
-                    pool.rows(range(game.n))
+                pool.rows(range(game.n))  # first request after the kill
         finally:
             pool.close()
-            factory.close()
         assert pool.closed
 
     def test_close_after_worker_death_reaps_everything(self):
         before = set(_leaked_shard_sockets())
         game = _random_game(30, n=8)
-        factory = SocketTransportFactory()
-        pool = ShardWorkerPool(
-            ShardPlan.build(game.n, 3),
-            game.distance_matrix,
-            transport_factory=factory,
-        )
+        pool = ShardWorkerPool(ShardPlan.build(game.n, 3), game.distance_matrix)
         pool.reset(game.empty_profile())
-        server = factory._server
-        server.kill()
-        server.wait()
-        with pytest.raises(ShardWorkerError):
+        pids = [transport._process.pid for transport in pool._transports]
+        pool._transports[1]._process.kill()
+        pool._transports[1]._process.join()
+        with pytest.raises(ShardWorkerError, match="repro-shard-"):
             pool.ping()
-        pool.close()  # survivors torn down, factory reaped
+        pool.close()  # survivors stopped, every child reaped
         assert pool.closed
         assert pool.alive_workers() == 0
-        assert server.poll() is not None
+        assert not any(_pid_exists(pid) for pid in pids)
         leaked = set(_leaked_shard_sockets()) - before
         assert not leaked, f"leaked socket files: {sorted(leaked)}"
 
     def test_pipe_worker_death_still_raises_named_error(self):
-        # The pipelined fan-out path must preserve PR 5's failure
-        # contract for pipe transports too.
+        # The pipelined fan-out path must preserve the failure contract
+        # when one shard's child dies behind its socket.
         game = _random_game(31, n=8)
         pool = ShardWorkerPool(ShardPlan.build(game.n, 2), game.distance_matrix)
         try:

@@ -287,7 +287,7 @@ class TestConnectRetryWithBackoff:
 
         def serve_late():
             time.sleep(0.3)
-            server = ShardServer(f"unix:{path}", auto_exit=False)
+            server = ShardServer(f"unix:{path}")
             server_box.append(server)
             server.serve_forever()
 
@@ -366,8 +366,12 @@ class TestConnectRetryWithBackoff:
             )
         assert time.monotonic() - started < 5.0  # no retry-until-deadline
         assert len(attempts) == 1
+        # close() alone does not wake an accept() already waiting on
+        # Linux; shutdown() does (EINVAL), so the thread can return.
+        listener.shutdown(socket.SHUT_RDWR)
         listener.close()
         thread.join(timeout=5)
+        assert not thread.is_alive()
 
     def test_deadline_exhaustion_raises_shard_worker_error(self, tmp_path):
         from repro.core.shard_workers import ShardWorkerError
@@ -474,3 +478,40 @@ class TestShardServerHandshake:
             assert rows[0, 1] == dmat[0, 1]
         finally:
             transport.close()
+
+
+class TestForkedShardHandshake:
+    """A forked same-host shard runs the shard server's handshake code,
+    refusals included: it answers a bad first frame with an
+    ``("error", ...)`` frame, hangs up and exits cleanly."""
+
+    _dmat = staticmethod(TestConnectRetryWithBackoff._dmat)
+
+    @staticmethod
+    def _refused(message):
+        from repro.core.transport import _reap, _start_shard_child
+
+        sock, process = _start_shard_child("repro-shard-handshake")
+        with sock:
+            sock.settimeout(5.0)
+            send_frame(sock, message)
+            reply = recv_frame(sock)
+            with pytest.raises(EOFError):
+                recv_frame(sock)
+        process.join(timeout=10)
+        assert process.exitcode == 0
+        _reap(process)
+        return reply
+
+    def test_unknown_init_option_is_refused(self):
+        options = {"backend": "auto", "dynamic": True, "solver": "serial"}
+        assert self._refused(("init", 0, 2, self._dmat(), options)) == (
+            "error",
+            "unknown init options ['solver']",
+        )
+
+    def test_first_frame_must_be_init(self):
+        assert self._refused(("ping",)) == (
+            "error",
+            "expected an 'init' handshake",
+        )

@@ -11,17 +11,19 @@ relax them:
   saying ``"died between requests"`` (recoverable: the lost process
   never saw the request, so respawn-and-retry cannot double-apply),
   while one killed *mid-request* says ``"died mid-request"``, and a
-  closed transport says ``"transport is closed"`` — for **both** the
-  pipe and the socket transport.
+  closed transport says ``"transport is closed"`` — for **both** a
+  forked same-host shard and a remote shard's socket.
 """
 
+import os
+import signal
 import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro.core.shard_workers import PipeTransport, ShardWorkerError
+from repro.core.shard_workers import ShardWorkerError
 from repro.core.transport import (
     SocketTransport,
     create_listener,
@@ -75,9 +77,11 @@ class TestConnectRetryDeadline:
         assert transport is None  # __init__ raised; nothing half-open
 
 
-class TestPipeMessageContract:
+class TestForkedMessageContract:
+    """A same-host shard: a forked child on a socketpair, really killed."""
+
     def test_killed_between_requests(self):
-        transport = PipeTransport(0, 2, dmat(), "auto")
+        transport = SocketTransport.forked(0, 2, dmat())
         try:
             assert transport.request(("ping",)) == "pong"
             transport.kill()
@@ -88,8 +92,24 @@ class TestPipeMessageContract:
         finally:
             transport.close()
 
+    def test_crashed_child_is_found_dead_before_the_send(self):
+        """A child that dies on its own (not through ``kill()``) is seen
+        by the non-blocking peek before anything goes on the wire."""
+        transport = SocketTransport.forked(0, 2, dmat())
+        try:
+            assert transport.request(("ping",)) == "pong"
+            os.kill(transport._process.pid, signal.SIGKILL)
+            transport._process.join(timeout=10)
+            with pytest.raises(
+                ShardWorkerError, match="repro-shard-0-2 died between requests"
+            ):
+                transport.send(("ping",))
+            assert not transport.alive
+        finally:
+            transport.close()
+
     def test_killed_mid_request(self):
-        transport = PipeTransport(0, 2, dmat(), "auto")
+        transport = SocketTransport.forked(0, 2, dmat())
         try:
             assert transport.request(("ping",)) == "pong"
             # The request goes on the wire first; the worker holds its
@@ -104,7 +124,7 @@ class TestPipeMessageContract:
             transport.close()
 
     def test_closed_transport_says_so(self):
-        transport = PipeTransport(0, 2, dmat(), "auto")
+        transport = SocketTransport.forked(0, 2, dmat())
         transport.close()
         with pytest.raises(ShardWorkerError, match="transport is closed"):
             transport.send(("ping",))

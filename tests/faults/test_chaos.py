@@ -1,9 +1,10 @@
 """Chaos smoke: real kills, bounded recovery, zero leaks — fast sizes.
 
 These are scaled-down versions of the drills the e20 benchmark records:
-worker SIGKILL under a sharded evaluator, a shard-server restart, and a
-drop-fault service run whose journal must replay digest-identical once
-the faults clear.  CI's ``chaos-smoke`` job runs exactly this file.
+worker SIGKILL under a sharded evaluator, every shard's process
+SIGKILLed at once, and a drop-fault service run whose journal must
+replay digest-identical once the faults clear.  CI's ``chaos-smoke``
+job runs exactly this file.
 """
 
 import pytest
@@ -32,7 +33,6 @@ class TestChaosReport:
             kills=2,
             recoveries=2,
             recovery_seconds=(0.1, 0.2),
-            server_restarts=0,
             replay_identical=True,
             results_identical=True,
             leaked_processes=0,
@@ -85,11 +85,14 @@ class TestWorkerKillDrill:
 
 class TestServerRestartDrill:
     def test_server_sigkill_restarts_and_recovers(self):
-        report = server_restart_drill(n=N, shards=2, sweeps=2, seed=0)
+        shards = 3
+        report = server_restart_drill(n=N, shards=shards, sweeps=2, seed=0)
         assert report.clean, report.as_dict()
-        assert report.server_restarts >= 1
+        assert report.kills == shards
+        assert report.recoveries == shards
         assert report.results_identical is True
         assert report.leaked_processes == 0
+        assert report.leaked_fds == 0
 
 
 class TestServiceChaosDrill:
