@@ -1,4 +1,4 @@
-"""E14 benchmark: execution backends for gain-sweep solves + store memory.
+"""E14 benchmark: execution backends for gain-sweep solves.
 
 This bench measures the pluggable execution backends end to end on the
 e13 workload shape (max-gain engine, greedy solves):
@@ -8,13 +8,7 @@ e13 workload shape (max-gain engine, greedy solves):
   evaluator's shared-memory service-matrix store, one submission of
   ``ceil(tasks/workers)`` solves per worker per sweep.
 
-plus the **memory ceiling** of the spill store: the same sweep workload
-with the resident W-matrix budget capped at a fraction of the full
-cache, asserting (via ``EvaluatorStats``) that residency never exceeds
-the configured budget while trajectories stay identical.
-
-Trajectory identity and the spill ceiling are asserted; they are
-hardware-independent.  The process-over-serial wall-clock ratio is
+Trajectory identity is asserted; it is hardware-independent.  The process-over-serial wall-clock ratio is
 recorded in the JSON next to the host's usable cores and
 ``os.cpu_count()``, but not asserted: a single-run ratio on a shared
 host is noise-bound, and the layer ledger is where speed is judged.
@@ -31,9 +25,7 @@ import time
 import numpy as np
 
 from repro.core.backends import ProcessBackend, SerialBackend
-from repro.core.evaluator import GameEvaluator
 from repro.core.game import TopologyGame
-from repro.core.service_store import SpillStore
 from repro.metrics.euclidean import EuclideanMetric
 from repro.simulation.engine import SimulationEngine
 
@@ -44,8 +36,6 @@ ALPHA = 1.0
 N_HEADLINE = 128
 MAX_ROUNDS = 10
 WORKERS = 4
-#: Spill budget for the memory-ceiling section, in service matrices.
-SPILL_BUDGET_MATRICES = 16
 
 
 def _usable_cores() -> int:
@@ -112,55 +102,6 @@ def _backend_comparison(n: int, max_rounds: int):
     return rows
 
 
-def _memory_ceiling(n: int, max_rounds: int):
-    """Spill-store sweep: bounded residency, identical trajectory."""
-    matrix_bytes = (n - 1) * n * 8
-    budget = SPILL_BUDGET_MATRICES * matrix_bytes
-    game = _game(n)
-    reference = SimulationEngine(
-        game,
-        method="greedy",
-        activation="max-gain",
-        evaluator=game.make_evaluator(),
-    ).run(max_rounds=max_rounds)
-    spill_game = _game(n)
-    evaluator = GameEvaluator(
-        spill_game, store=SpillStore(budget_bytes=budget)
-    )
-    report, wall_s = _timed(
-        lambda: SimulationEngine(
-            spill_game,
-            method="greedy",
-            activation="max-gain",
-            evaluator=evaluator,
-        ).run(max_rounds=max_rounds)
-    )
-    stats = evaluator.stats
-    identical = (
-        report.profile.key() == reference.profile.key()
-        and report.moves == reference.moves
-    )
-    assert identical, "spill-store trajectory diverged"
-    assert stats.store_resident_bytes <= budget
-    assert stats.store_resident_peak_bytes <= budget + matrix_bytes
-    row = {
-        "scenario": f"spill-ceiling(n={n},budget={SPILL_BUDGET_MATRICES}W)",
-        "n": n,
-        "backend": "serial+spill",
-        "wall_s": wall_s,
-        "moves": report.moves,
-        "final_cost": report.final_cost,
-        "identical": True,
-        "budget_bytes": budget,
-        "resident_peak_bytes": stats.store_resident_peak_bytes,
-        "full_cache_bytes": n * matrix_bytes,
-        "promotions": stats.store_promotions,
-        "demotions": stats.store_demotions,
-    }
-    evaluator.close()
-    return row
-
-
 def test_process_backend_smoke():
     """CI-friendly smoke: serial/process identity at n=32."""
     rows = _backend_comparison(32, 6)
@@ -174,20 +115,18 @@ def _format_table(rows) -> str:
     )
     lines = [header, "-" * len(header)]
     for row in rows:
-        speedup = row.get("speedup_vs_serial")
-        speedup_text = f"{speedup:8.2f}x" if speedup else " " * 9
         lines.append(
-            f"{row['scenario']:>36}  {row['wall_s']:8.3f}  {speedup_text}  "
+            f"{row['scenario']:>36}  {row['wall_s']:8.3f}  "
+            f"{row['speedup_vs_serial']:8.2f}x  "
             f"{row['moves']:>6}  {row['identical']}"
         )
     return "\n".join(lines)
 
 
 def test_backend_pool_report(benchmark):
-    """Full report: backend sweep at n=128 + spill memory ceiling."""
+    """Full report: backend sweep at n=128."""
     cores = _usable_cores()
     rows = _backend_comparison(N_HEADLINE, MAX_ROUNDS)
-    ceiling = _memory_ceiling(N_HEADLINE, max_rounds=4)
     process_pool = ProcessBackend(workers=WORKERS)
     try:
         benchmark.pedantic(
@@ -200,20 +139,15 @@ def test_backend_pool_report(benchmark):
     process = next(r for r in rows if r["backend"] == "process")
     process_over_serial = process["speedup_vs_serial"]
     text = (
-        "E14: Pluggable execution backends (gain-sweep solves) + "
-        "service-store memory ceiling\n"
-        + _format_table(rows + [ceiling])
+        "E14: Pluggable execution backends (gain-sweep solves)\n"
+        + _format_table(rows)
         + "\n\nE14: process-pool gain sweeps over a shared-memory store"
         + "\n  claim   : pool workers attach the service-matrix store"
-        " zero-copy; trajectories are backend-independent; spill mode"
-        " bounds resident W bytes to the budget"
-        + "\n  verdict : identity+ceiling asserted"
+        " zero-copy; trajectories are backend-independent"
+        + "\n  verdict : identity asserted"
         + f"\n  note    : process-over-serial {process_over_serial:.2f}x"
         f" at n={N_HEADLINE} greedy, {WORKERS} workers (recorded, not"
-        f" asserted; usable cores: {cores}, cpu_count: {os.cpu_count()});"
-        f" spill ceiling {ceiling['resident_peak_bytes']} <="
-        f" {ceiling['budget_bytes']} + 1 matrix of"
-        f" {ceiling['full_cache_bytes']} full-cache bytes\n"
+        f" asserted; usable cores: {cores}, cpu_count: {os.cpu_count()})\n"
     )
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "e14.txt").write_text(text)
@@ -229,27 +163,19 @@ def test_backend_pool_report(benchmark):
             "cpu_count": os.cpu_count(),
             "workers": WORKERS,
             "process_over_serial": round(process_over_serial, 3),
-            "asserted": ["trajectory identity", "spill ceiling"],
-            "memory_ceiling": {
-                "budget_bytes": ceiling["budget_bytes"],
-                "resident_peak_bytes": ceiling["resident_peak_bytes"],
-                "full_cache_bytes": ceiling["full_cache_bytes"],
-                "promotions": ceiling["promotions"],
-                "demotions": ceiling["demotions"],
-                "bounded": True,
-            },
+            "asserted": ["trajectory identity"],
             "entries": [
                 perf_entry(
                     row["scenario"],
                     row["n"],
                     "greedy",
                     row["wall_s"],
-                    row.get("speedup_vs_serial", 1.0),
+                    row["speedup_vs_serial"],
                     backend=row["backend"],
                     moves=row["moves"],
                     identical=row["identical"],
                 )
-                for row in rows + [ceiling]
+                for row in rows
             ],
         },
     )

@@ -40,7 +40,6 @@ from repro.core.backends import ProcessBackend, SerialBackend
 from repro.core.evaluator import GameEvaluator
 from repro.core.game import TopologyGame
 from repro.core.profile import StrategyProfile
-from repro.core.service_store import SpillStore
 from repro.core.sharded import ShardedEvaluator
 from repro.metrics.euclidean import EuclideanMetric
 from repro.simulation.engine import SimulationEngine
@@ -209,8 +208,6 @@ def _run_trajectory(game: TopologyGame, evaluator, backend, label: str):
 def _trajectory_matrix(n: int):
     """Dynamic-repair trajectories across k × store × backend × placement,
     all compared against the scratch-repair serial reference."""
-    matrix_bytes = (n - 1) * n * 8
-    tight_spill = lambda: SpillStore(budget_bytes=8 * matrix_bytes)
     solver_pool = ProcessBackend(workers=2)
     combos = [
         ("scratch,unsharded,serial,memory", "scratch", SerialBackend(),
@@ -220,8 +217,8 @@ def _trajectory_matrix(n: int):
          "memory"),
         ("dynamic,local-k=2,serial,memory", ("local", 2), SerialBackend(),
          "memory"),
-        ("dynamic,local-k=4,serial,spill", ("local", 4), SerialBackend(),
-         tight_spill),
+        ("dynamic,local-k=4,serial,shared", ("local", 4), SerialBackend(),
+         "shared"),
         ("dynamic,process-k=2,serial,memory", ("process", 2),
          SerialBackend(), "memory"),
         ("dynamic,process-k=4,process,memory", ("process", 4), solver_pool,

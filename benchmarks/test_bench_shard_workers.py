@@ -16,7 +16,7 @@ resident distance block at all.  This bench measures both axes:
   bit-identical to the unsharded evaluator.
 * **Trajectory identity (n=64)**: max-gain greedy dynamics with process
   placement across shard counts, execution backends and stores
-  (including a tight spill store and a solver process pool running
+  (memory and shared stores, and a solver process pool running
   *alongside* the shard workers) must all walk the unsharded serial
   trajectory exactly.
 
@@ -40,7 +40,6 @@ from repro.core.backends import ProcessBackend, SerialBackend
 from repro.core.evaluator import GameEvaluator
 from repro.core.game import TopologyGame
 from repro.core.profile import StrategyProfile
-from repro.core.service_store import SpillStore
 from repro.core.sharded import ShardedEvaluator
 from repro.metrics.euclidean import EuclideanMetric
 from repro.simulation.engine import SimulationEngine
@@ -207,15 +206,13 @@ def _run_trajectory(game: TopologyGame, evaluator, backend, label: str):
 
 def _trajectory_matrix(n: int):
     """Process-placement trajectories across k × backend × store."""
-    matrix_bytes = (n - 1) * n * 8
-    tight_spill = lambda: SpillStore(budget_bytes=8 * matrix_bytes)
     solver_pool = ProcessBackend(workers=2)
     combos = [
         ("unsharded,serial,memory", None, SerialBackend(), "memory"),
         ("process-k=1,serial,memory", 1, SerialBackend(), "memory"),
         ("process-k=2,serial,memory", 2, SerialBackend(), "memory"),
         ("process-k=4,serial,memory", 4, SerialBackend(), "memory"),
-        ("process-k=4,serial,spill", 4, SerialBackend(), tight_spill),
+        ("process-k=4,serial,shared", 4, SerialBackend(), "shared"),
         ("process-k=2,process,auto-shared", 2, solver_pool, "memory"),
     ]
     rows = []

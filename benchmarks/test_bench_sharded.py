@@ -1,9 +1,9 @@
 """E15 benchmark: sharded evaluators — distance-memory ceiling + identity.
 
-PR 3 bounded the service-matrix side of the evaluator cache (spill
-store); the overlay-distance matrix remained a monolithic ``n^2 x 8``
-byte block.  This bench measures the sharded evaluator
-(:mod:`repro.core.sharded`) on both axes:
+The unsharded evaluator holds the overlay-distance matrix as one
+monolithic ``n^2 x 8`` byte block.  This bench measures the sharded
+evaluator (:mod:`repro.core.sharded`), which holds one row block at a
+time, on two axes:
 
 * **Memory headline (n=512, k=4)**: the same query sequence — peer
   costs, social cost, single-peer rebinds with re-queries, and a partial
@@ -12,10 +12,9 @@ byte block.  This bench measures the sharded evaluator
   stays at or below ``1/k + slack`` (40% for k=4) of the unsharded
   peak, while every per-row result is bit-identical.
 * **Trajectory identity (n=96)**: max-gain greedy dynamics across
-  (shards x backend x store) combinations — including a spill store
-  budgeted tight enough to actually demote, and a process pool over the
-  auto-migrated shared sharded store — must all walk the unsharded
-  serial trajectory exactly.
+  (shards x backend x store) combinations — memory and shared stores,
+  and a process pool over a memory store auto-migrated to shared
+  memory — must all walk the unsharded serial trajectory exactly.
 
 Unlike e14's parallel speedup floor there is no host-dependent
 acceptance here: the memory ceiling is a property of the data layout,
@@ -37,7 +36,6 @@ from repro.core.backends import ProcessBackend, SerialBackend
 from repro.core.evaluator import GameEvaluator
 from repro.core.game import TopologyGame
 from repro.core.profile import StrategyProfile
-from repro.core.service_store import SpillStore
 from repro.core.sharded import ShardedEvaluator
 from repro.metrics.euclidean import EuclideanMetric
 from repro.simulation.engine import SimulationEngine
@@ -114,9 +112,7 @@ def _memory_headline(n: int, shards: int):
     ref_peak = reference.stats.distance_resident_peak_bytes
     assert ref_peak == n * n * 8, "unsharded peak must be the full matrix"
 
-    sharded = ShardedEvaluator(
-        _game(n), shards=shards, max_resident_shards=1
-    )
+    sharded = ShardedEvaluator(_game(n), shards=shards)
     sharded_outputs, sharded_wall = _timed(
         lambda: _memory_workload(sharded, profile)
     )
@@ -181,14 +177,12 @@ def _run_trajectory(game: TopologyGame, evaluator, backend, label: str):
 
 def _trajectory_matrix(n: int):
     """Sharded trajectories across backend/store combos vs unsharded."""
-    matrix_bytes = (n - 1) * n * 8
-    tight_spill = lambda: SpillStore(budget_bytes=8 * matrix_bytes)
     process = ProcessBackend(workers=2)
     combos = [
         ("unsharded,serial,memory", None, SerialBackend(), "memory"),
         ("shards=2,serial,memory", 2, SerialBackend(), "memory"),
         ("shards=4,serial,memory", 4, SerialBackend(), "memory"),
-        ("shards=4,serial,spill", 4, SerialBackend(), tight_spill),
+        ("shards=4,serial,shared", 4, SerialBackend(), "shared"),
         ("shards=2,process,auto-shared", 2, process, "memory"),
     ]
     rows = []
@@ -269,7 +263,7 @@ def test_sharded_memory_report(benchmark):
         "E15: Sharded evaluators — resident overlay-distance ceiling + "
         "trajectory identity\n"
         + _format_table(memory_rows + trajectory_rows)
-        + "\n\nE15: row-block sharded overlay distances + per-shard stores"
+        + "\n\nE15: row-block sharded overlay distances"
         + "\n  claim   : k=4 shards keep resident distance bytes <= "
         + f"{RESIDENT_FRACTION_CEILING:.0%} of the unsharded evaluator "
         + "with bit-identical results"
@@ -286,8 +280,8 @@ def test_sharded_memory_report(benchmark):
         {
             "name": "e15",
             "title": (
-                "Sharded evaluators: row-block overlay distances and "
-                "per-shard service stores"
+                "Sharded evaluators: row-block overlay distances, one "
+                "block resident"
             ),
             "acceptance": {
                 "ceiling_fraction": round(RESIDENT_FRACTION_CEILING, 4),

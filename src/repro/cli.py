@@ -107,11 +107,11 @@ def _add_execution_flags(command) -> None:
         type=_positive_int_arg("shards"),
         default=None,
         help=(
-            "shard the evaluator's peer space into K row blocks "
-            "(forwarded to experiments that support it): resident "
-            "overlay-distance memory drops to roughly 1/K and each "
-            "shard gets its own service-store budget; trajectories are "
-            "identical to the unsharded default"
+            "shard the evaluator's overlay-distance rows into K row "
+            "blocks (forwarded to experiments that support it): under "
+            "local placement one block is resident at a time, so "
+            "resident overlay-distance memory drops to roughly 1/K; "
+            "trajectories are identical to the unsharded default"
         ),
     )
     command.add_argument(
@@ -139,16 +139,6 @@ def _add_execution_flags(command) -> None:
             "unix:/path) to round-robin shards across (needs "
             "--shard-placement socket); start servers with "
             "`python -m repro.shard_server --listen ADDR`"
-        ),
-    )
-    command.add_argument(
-        "--max-resident-shards",
-        type=_positive_int_arg("max-resident-shards"),
-        default=None,
-        help=(
-            "how many shard row blocks may be RAM-resident at once "
-            "under local placement (needs --shards, must not exceed "
-            "it; default 1)"
         ),
     )
     command.add_argument(
@@ -199,7 +189,6 @@ def _check_execution_flags(args, parser: argparse.ArgumentParser) -> None:
         )
     shards = getattr(args, "shards", None)
     placement = getattr(args, "shard_placement", None)
-    max_resident = getattr(args, "max_resident_shards", None)
     shard_hosts = getattr(args, "shard_hosts", None)
     if placement is not None and shards is None:
         parser.error(
@@ -227,18 +216,6 @@ def _check_execution_flags(args, parser: argparse.ArgumentParser) -> None:
                 parse_address(host)
             except ValueError as error:
                 parser.error(f"--shard-hosts: {error}")
-    if max_resident is not None:
-        if shards is None:
-            parser.error(
-                "--max-resident-shards needs --shards: it budgets the "
-                "resident row blocks of a sharded evaluator"
-            )
-        if max_resident > shards:
-            parser.error(
-                f"--max-resident-shards ({max_resident}) cannot exceed "
-                f"--shards ({shards}): there are only {shards} row "
-                f"blocks to keep resident"
-            )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,7 +396,6 @@ def _harness_params(args) -> dict:
         "backend": args.backend,
         "shards": args.shards,
         "shard_placement": args.shard_placement,
-        "max_resident_shards": args.max_resident_shards,
         "shard_hosts": args.shard_hosts,
         "game_family": args.game,
         "beta": args.beta,
@@ -556,7 +532,6 @@ def _cmd_demo(params: dict) -> int:
         backend=backend,
         shards=shards,
         shard_placement=placement,
-        max_resident_shards=params["max_resident_shards"],
         shard_hosts=params["shard_hosts"],
     ) as engine:
         report = engine.run(max_rounds=120)

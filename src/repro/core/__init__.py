@@ -104,13 +104,11 @@ from repro.core.service_store import (
     ArrayStore,
     ServiceStore,
     SharedMemoryStore,
-    SpillStore,
     make_store,
 )
 from repro.core.sharded import (
     ShardedDistances,
     ShardedEvaluator,
-    ShardedStore,
     ShardPlan,
 )
 from repro.core.topology import build_overlay, overlay_from_matrix
@@ -125,7 +123,6 @@ __all__ = [
     "ServiceStore",
     "ArrayStore",
     "SharedMemoryStore",
-    "SpillStore",
     "make_store",
     "CostBreakdown",
     "stretch_matrix",
@@ -188,7 +185,6 @@ __all__ = [
     "EvaluatorStats",
     "ShardPlan",
     "ShardedDistances",
-    "ShardedStore",
     "ShardedEvaluator",
     "peer_cost",
 ]

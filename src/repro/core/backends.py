@@ -12,8 +12,8 @@ one, so it lives behind a tiny protocol:
 :class:`ProcessBackend`
     A persistent :class:`~concurrent.futures.ProcessPoolExecutor` whose
     workers *attach* to the evaluator's shareable
-    :mod:`~repro.core.service_store` (shared-memory segments or spill-
-    file windows) and solve against the parent's pages directly — tasks
+    :mod:`~repro.core.service_store` (shared-memory segments) and
+    solve against the parent's pages directly — tasks
     carry ``(store_handle, peer, strategy, profile_digest)``, never the
     ``W`` matrix itself, so dispatch cost is independent of ``n``.
 ``"shard"``
@@ -127,8 +127,8 @@ def solve_service_tasks(tasks: Sequence[SolveTask]) -> List[BestResponseResult]:
 
     One call solves one worker's share of a sweep.  The matrix bytes
     never cross the pipe — only the handles do; the worker maps the
-    owner's shared-memory segment / spill-file window (cached per
-    process) and runs the same pure solver the serial backend runs.
+    owner's shared-memory segment (cached per process) and runs the
+    same pure solver the serial backend runs.
     """
     results = []
     for handle, peer, strategy, alpha, method, _digest in tasks:

@@ -411,10 +411,6 @@ class BestResponseDynamics:
         leaves the coordinator with no resident block at all.
         Trajectories are identical for every placement.  Requires
         ``shards``.
-    max_resident_shards:
-        Resident row-block budget of the owned sharded evaluator
-        (local placement; default 1).  Requires ``shards`` and must not
-        exceed it.
     shard_hosts:
         Socket placement only: addresses (``"host:port"`` /
         ``"unix:/path"``) of running shard servers to round-robin
@@ -441,7 +437,6 @@ class BestResponseDynamics:
         backend=None,
         shards: Optional[int] = None,
         shard_placement: Optional[str] = None,
-        max_resident_shards: Optional[int] = None,
         shard_hosts=None,
     ) -> None:
         from repro.core.backends import SolverBackend, resolve_backend
@@ -453,9 +448,7 @@ class BestResponseDynamics:
         self._owns_backend = False
         self._backend = None
 
-        check_shard_options(
-            shards, shard_placement, max_resident_shards, shard_hosts
-        )
+        check_shard_options(shards, shard_placement, shard_hosts)
         if shards is not None:
             if evaluator is not None:
                 raise ValueError(
@@ -480,7 +473,6 @@ class BestResponseDynamics:
         self._backend = resolve_backend(backend, workers)
         self._shards = shards
         self._shard_placement = shard_placement
-        self._max_resident_shards = max_resident_shards
         self._shard_hosts = shard_hosts
 
     def _resolve_evaluator(self) -> "GameEvaluator":
@@ -500,7 +492,6 @@ class BestResponseDynamics:
                     self._game,
                     shards=self._shards,
                     placement=self._shard_placement,
-                    max_resident_shards=self._max_resident_shards,
                     shard_hosts=self._shard_hosts,
                 )
             return self._owned_evaluator

@@ -60,9 +60,9 @@ Batched activation rounds
 
 Two batch APIs serve whole scheduler rounds of logically-concurrent
 activations.  :meth:`batch_service_costs` builds/repairs many peers'
-service matrices through one block-diagonal multi-source Dijkstra per
-budgeted chunk (:func:`~repro.graphs.shortest_paths.
-blocked_multi_source_distances`) — values are bitwise identical to the
+service matrices through one block-diagonal multi-source Dijkstra
+(:func:`~repro.graphs.shortest_paths.blocked_multi_source_distances`,
+which chunks internally) — values are bitwise identical to the
 per-peer calls, only the call count changes.  :meth:`gain_sweep` returns
 every peer's current best response from one such pass plus a *response
 memo*: each repair accumulates, per target column, an upper bound on how
@@ -84,12 +84,9 @@ Service stores and execution backends
 
 Where the cached ``W`` matrices *live* is pluggable
 (:mod:`repro.core.service_store`): the default ``store="memory"`` keeps
-plain ndarrays (the historical behavior), ``store="shared"`` moves every
-matrix into a :mod:`multiprocessing.shared_memory` segment, and
-``store="spill"`` (or a configured ``SpillStore``) bounds the resident
-RAM copies to a byte budget, spilling cold matrices to a memory-mapped
-file with LRU promotion.  Stores move bytes without changing them, so
-every query is bit-identical across stores.
+plain ndarrays, and ``store="shared"`` moves every matrix into a
+:mod:`multiprocessing.shared_memory` segment.  Stores move bytes
+without changing them, so every query is bit-identical across stores.
 
 How a sweep's response solves *execute* is equally pluggable
 (:mod:`repro.core.backends`): ``gain_sweep(backend=...)`` accepts
@@ -97,7 +94,7 @@ How a sweep's response solves *execute* is equally pluggable
 :class:`~repro.core.backends.SolverBackend` instance.  The process
 backend requires (and auto-migrates to) a shareable store: pool workers
 receive ``(store_handle, peer, strategy, digest)`` tasks and attach the
-store's segments/windows directly — the matrices are never pickled, and
+store's segments directly — the matrices are never pickled, and
 in-place repairs between sweeps are visible to long-lived workers
 through the shared mappings.  All backends run the same pure solver on
 the same bytes, so trajectories are identical for any backend and any
@@ -105,8 +102,8 @@ pool size.
 
 For populations where even the ``n x n`` overlay-distance matrix is too
 large to hold, :class:`~repro.core.sharded.ShardedEvaluator` partitions
-the peer space into row-block shards — each with its own distance-row
-slice and its own service store — behind this same interface (see
+the overlay-distance rows into row-block shards behind this same
+interface; its service matrices live in one store, as here (see
 ``docs/architecture.md`` for the full walkthrough).
 
 Equivalence with the naive paths: candidate enumeration order and
@@ -131,7 +128,6 @@ from typing import (
     TYPE_CHECKING,
     Dict,
     FrozenSet,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -193,16 +189,13 @@ class EvaluatorStats:
 
     The ``store_*`` counters are maintained by the bound service store
     (:mod:`repro.core.service_store`): ``store_resident_bytes`` /
-    ``store_resident_peak_bytes`` track the RAM held by matrix copies
-    right now / at the high-water mark, and ``store_promotions`` /
-    ``store_demotions`` count spill-file round-trips.  For the plain
-    in-memory store, promotions and demotions stay 0 and resident bytes
-    equal the cache size.
+    ``store_resident_peak_bytes`` track the bytes of cached matrices
+    right now / at the high-water mark.
 
     The ``distance_resident_*`` counters track the RAM held by cached
     overlay-distance rows right now / at the high-water mark: the full
-    ``n x n`` matrix for :class:`GameEvaluator`, the currently-resident
-    row blocks for :class:`~repro.core.sharded.ShardedEvaluator` (which
+    ``n x n`` matrix for :class:`GameEvaluator`, the one resident row
+    block for :class:`~repro.core.sharded.ShardedEvaluator` (which
     also counts ``distance_block_builds`` / ``distance_block_releases``
     — full rebuilds and evictions of one shard's row block; both stay 0
     on the unsharded evaluator).
@@ -241,8 +234,6 @@ class EvaluatorStats:
     gain_sweeps: int = 0
     response_solves: int = 0
     response_memo_hits: int = 0
-    store_promotions: int = 0
-    store_demotions: int = 0
     store_resident_bytes: int = 0
     store_resident_peak_bytes: int = 0
 
@@ -282,9 +273,8 @@ class _ServiceEntry:
 
     The matrix *bytes* live in the evaluator's service store; the entry
     holds the candidate row order plus dirtiness/memo state.  ``service``
-    is a transient :class:`ServiceCosts` view over the store's current
-    backing array — cached only for stores whose backing never moves, so
-    a spill store's demotions actually release the RAM copy.
+    is a cached :class:`ServiceCosts` view over the store's backing
+    array, rebuilt whenever that array is replaced.
     """
 
     candidates: Tuple[int, ...]
@@ -302,8 +292,7 @@ class _ServiceEntry:
     #: ``k`` holds distances from ``candidates[k]`` on ``H_peer``.  The
     #: normalization is not float-invertible, so incremental service
     #: repair patches these and re-normalizes.  ``None`` when dynamic
-    #: repair is off or the store is RAM-budgeted (keeping a second
-    #: resident copy would break the spill store's memory contract).
+    #: repair is off.
     raw: Optional[np.ndarray] = None
     #: Flip-log cursor the ``raw`` rows are current with.
     cursor: int = 0
@@ -337,9 +326,8 @@ class GameEvaluator:
     store:
         Where cached service matrices live: ``"memory"`` (default,
         plain ndarrays), ``"shared"`` (shared-memory segments, required
-        for — and auto-migrated to by — the process solver backend),
-        ``"spill"`` (budgeted RAM + memory-mapped spill file), or any
-        :class:`~repro.core.service_store.ServiceStore` instance.
+        for — and auto-migrated to by — the process solver backend), or
+        any :class:`~repro.core.service_store.ServiceStore` instance.
     dynamic_repair:
         When True (default), dirty distance rows are patched in place by
         the incremental updater of :mod:`repro.graphs.dynamic_sssp`
@@ -386,9 +374,9 @@ class GameEvaluator:
         # Safety net mirroring the backend _shutdown pattern: if this
         # evaluator is abandoned without close() — a test failure
         # mid-run, a CLI Ctrl-C — the store still gets closed at GC or
-        # interpreter exit, keeping shm segments out of /dev/shm and
-        # spill slabs out of the temp dir.  The one-element cell tracks
-        # store migrations so the *current* store is the one closed.
+        # interpreter exit, keeping shm segments out of /dev/shm.  The
+        # one-element cell tracks store migrations so the *current*
+        # store is the one closed.
         self._store_cell: List = [self._store]
         self._store_finalizer = weakref.finalize(
             self, GameEvaluator._close_stores, self._store_cell
@@ -609,8 +597,7 @@ class GameEvaluator:
         ``weights`` array is marked read-only (mutating it would poison
         every query routed through this evaluator) and may be repaired in
         place by a later :meth:`set_profile`.  Copy it if you need a
-        snapshot.  With a spill store the backing array may move between
-        accesses — re-fetch rather than holding the view.
+        snapshot.
 
         ``rows`` narrows the freshness guarantee: only those candidate
         rows are guaranteed repaired; other dirty rows may stay stale
@@ -700,11 +687,10 @@ class GameEvaluator:
         """A :class:`ServiceCosts` view over the store's current backing."""
         backing = self._store.get(peer)
         service = entry.service
-        if service is not None and service.weights is backing:
-            return service
-        service = ServiceCosts(peer, entry.candidates, backing)
-        if self._store.stable_backing:
-            entry.service = service
+        if service is None or service.weights is not backing:
+            service = entry.service = ServiceCosts(
+                peer, entry.candidates, backing
+            )
         return service
 
     def _build_service(self, peer: int) -> _ServiceEntry:
@@ -726,17 +712,9 @@ class GameEvaluator:
         return self._admit_service(peer, candidates, weights, raw=dist_h)
 
     def _keep_raw(self) -> bool:
-        """Whether service entries may keep raw ``d_H`` repair state.
-
-        Gated off for RAM-budgeted stores: the raw rows double a
-        matrix's resident footprint, which would break the spill store's
-        memory contract; those entries repair through scratch rows
-        exactly as before.
-        """
-        return (
-            self._repairer is not None
-            and self._store.chunk_budget_bytes is None
-        )
+        """Whether service entries keep raw ``d_H`` repair state: exactly
+        when dynamic repair is on."""
+        return self._repairer is not None
 
     def _admit_service(
         self,
@@ -881,8 +859,7 @@ class GameEvaluator:
         multi-source runs are stacked into a block-diagonal graph and
         answered by :func:`~repro.graphs.shortest_paths.
         blocked_multi_source_distances` — a handful of scipy calls per
-        scheduler round (chunked to the store's byte budget when one is
-        configured).  Results (weights, cache bookkeeping, stats
+        scheduler round.  Results (weights, cache bookkeeping, stats
         semantics) are identical to calling :meth:`service_costs` once
         per peer; only the call count changes.
         """
@@ -897,8 +874,7 @@ class GameEvaluator:
         """Build/repair many peers' matrices via blocked Dijkstra.
 
         Write-only core of :meth:`batch_service_costs`: everything lands
-        in the service store without materializing result views, so bulk
-        refreshes keep a spill store's resident set bounded.
+        in the service store without materializing result views.
 
         The requested peers are protected from eviction: a request for
         more matrices than ``max_cached_services`` legitimately needs
@@ -933,48 +909,21 @@ class GameEvaluator:
         if not jobs:
             return
         overlay = self.overlay
-        for chunk in self._job_chunks(jobs):
-            dist_blocks = blocked_multi_source_distances(
-                [
-                    (overlay.copy_without_out_edges(peer), sources)
-                    for peer, _kind, sources in chunk
-                ],
-                backend=self._backend,
-            )
-            for (peer, kind, sources), dist_h in zip(chunk, dist_blocks):
-                weights = normalize_service_rows(
-                    self._dmat, peer, sources, dist_h
-                )
-                if kind == "build":
-                    self._admit_service(
-                        peer, tuple(sources), weights, raw=dist_h
-                    )
-                else:
-                    self._install_rows(
-                        peer, self._service[peer], sources, weights
-                    )
+        dist_blocks = blocked_multi_source_distances(
+            [
+                (overlay.copy_without_out_edges(peer), sources)
+                for peer, _kind, sources in jobs
+            ],
+            backend=self._backend,
+        )
+        for (peer, kind, sources), dist_h in zip(jobs, dist_blocks):
+            weights = normalize_service_rows(self._dmat, peer, sources, dist_h)
+            if kind == "build":
+                self._admit_service(peer, tuple(sources), weights, raw=dist_h)
+            else:
+                self._install_rows(peer, self._service[peer], sources, weights)
         self.stats.batch_calls += 1
         self._evict_services(protect=requested)
-
-    def _job_chunks(
-        self, jobs: List[Tuple[int, str, List[int]]]
-    ) -> Iterator[List[Tuple[int, str, List[int]]]]:
-        """Split a blocked build into store-budget-sized chunks.
-
-        Without a store budget everything goes in one blocked call (the
-        historical behavior).  With one, each chunk materializes at most
-        ``chunk_budget_bytes`` of fresh matrices before they are handed
-        to the store — per-source Dijkstra runs are independent, so the
-        chunking cannot change a single value.
-        """
-        budget = self._store.chunk_budget_bytes
-        if budget is None or self._n <= 1:
-            yield jobs
-            return
-        matrix_nbytes = (self._n - 1) * self._n * 8
-        per_chunk = max(1, budget // max(1, matrix_nbytes))
-        for start in range(0, len(jobs), per_chunk):
-            yield jobs[start : start + per_chunk]
 
     def _evict_services(self, protect: Optional[Set[int]] = None) -> None:
         """Evict oldest entries past the cap, sparing ``protect``.
@@ -1094,8 +1043,6 @@ class GameEvaluator:
 
         make_task = None
         if (backend.distributed or backend.wants_tasks) and to_solve:
-            if backend.distributed:
-                self._store.flush(to_solve)
             digest = self._profile_digest()
 
             def make_task(peer: int):
@@ -1443,7 +1390,7 @@ class GameEvaluator:
         return self._store
 
     def close(self) -> None:
-        """Release the service store's buffers (segments, spill file).
+        """Release the service store's buffers (shared-memory segments).
 
         Idempotent, and optional — the evaluator's finalizer (and each
         store's own) closes the buffers at garbage collection or

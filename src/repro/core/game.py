@@ -137,7 +137,6 @@ class TopologyGame:
         shards: Optional[int] = None,
         store="memory",
         placement: Optional[str] = None,
-        max_resident_shards: Optional[int] = None,
         shard_hosts=None,
     ) -> "GameEvaluator":
         """A fresh, independent evaluator (isolated cache).
@@ -146,16 +145,14 @@ class TopologyGame:
         :class:`~repro.core.sharded.ShardedEvaluator` with that many
         row-block shards — same interface and identical trajectories,
         with resident overlay-distance memory bounded to roughly
-        ``1/shards`` and one service store (``store`` spec) per shard.
-        ``placement="process"`` additionally moves each shard's distance
-        block into its own worker process
+        ``1/shards``; either way the evaluator holds one service store
+        (``store`` spec).  ``placement="process"`` additionally moves
+        each shard's distance block into its own worker process
         (:mod:`repro.core.shard_workers`), and ``placement="socket"``
         hosts those workers behind :mod:`repro.shard_server` processes
         reached over TCP/Unix sockets (``shard_hosts`` names the
         servers; ``None`` forks the shards on this host, like
-        ``"process"``);
-        ``max_resident_shards`` budgets the locally resident blocks.
-        All require ``shards``.
+        ``"process"``).  Both require ``shards``.
         """
         if shards is not None:
             from repro.core.sharded import build_sharded_evaluator
@@ -166,12 +163,11 @@ class TopologyGame:
                 store=store,
                 shards=shards,
                 placement=placement,
-                max_resident_shards=max_resident_shards,
                 shard_hosts=shard_hosts,
             )
         from repro.core.sharded import check_shard_options
 
-        check_shard_options(shards, placement, max_resident_shards, shard_hosts)
+        check_shard_options(shards, placement, shard_hosts)
         from repro.core.evaluator import GameEvaluator
 
         return GameEvaluator(self, profile, store=store)

@@ -1,49 +1,35 @@
-"""Pluggable storage arenas for per-peer service-cost matrices.
+"""Storage arenas for per-peer service-cost matrices.
 
 The :class:`~repro.core.evaluator.GameEvaluator` keeps up to
 ``max_cached_services`` warm ``W`` matrices — each an ``(n-1) x n``
-float64 block — which makes two things hard at scale:
+float64 block.  Process-pool solvers need workers to read ``W`` without
+pickling megabytes per task, so a :class:`ServiceStore` owns the backing
+buffers of those matrices and decouples *where the bytes live* from the
+evaluator's cache bookkeeping.  There are two kinds:
 
-* **process-pool solvers** need workers to read ``W`` without pickling
-  megabytes per task, and
-* **very large populations** need the resident footprint of the cache
-  bounded below ``O(n^3)`` bytes.
+* :class:`ArrayStore` (``"memory"``) — plain process-private ndarrays
+  (the default).
+* :class:`SharedMemoryStore` (``"shared"``) — one
+  :mod:`multiprocessing.shared_memory` segment per matrix.
+  :meth:`~ServiceStore.handle` descriptors let pool workers attach the
+  segment by name and solve against the *same pages* the parent
+  repaired in place — zero-copy, no ``W`` pickling.
 
-A :class:`ServiceStore` owns the backing buffers of those matrices and
-decouples *where the bytes live* from the evaluator's cache bookkeeping:
-
-* :class:`ArrayStore` — plain process-private ndarrays (the default;
-  byte-for-byte the pre-store behavior).
-* :class:`SharedMemoryStore` — one :mod:`multiprocessing.shared_memory`
-  segment per matrix.  :meth:`~ServiceStore.handle` descriptors let pool
-  workers attach the segment by name and solve against the *same pages*
-  the parent repaired in place — zero-copy, no ``W`` pickling.
-* :class:`SpillStore` — a memory-mapped spill file plus a bounded set of
-  resident in-RAM copies (LRU promotion on access, demotion past the
-  byte ``budget``).  Handles point workers at ``(path, offset)`` windows
-  of the same file, so the spill store is also process-shareable after a
-  :meth:`~ServiceStore.flush`.
-
-Stores only move bytes; they never change them.  Every implementation
-round-trips matrices bit-exactly, so evaluator results (and dynamics
-trajectories) are identical whichever store backs the cache — the
-property the store test-suite pins.
-
-For sharded evaluators, :class:`~repro.core.sharded.ShardedStore` wraps
-one store of any of these kinds *per row-block shard* — giving each
-shard its own byte budget — and routes every key (and worker handle) to
-the owning shard's store.
+Stores only move bytes; they never change them.  Both round-trip
+matrices bit-exactly, so evaluator results (and dynamics trajectories)
+are identical whichever store backs the cache — the property the store
+test-suite pins.  Every evaluator, sharded or not, holds exactly one
+store.
 
 The evaluator binds its :class:`~repro.core.evaluator.EvaluatorStats` to
-the store (:meth:`~ServiceStore.bind_stats`) so promotions, demotions and
-the resident byte ceiling are observable through the usual counters.
+the store (:meth:`~ServiceStore.bind_stats`) so the resident byte count
+and its high-water mark are observable through the usual counters.
 """
 
 from __future__ import annotations
 
 import itertools
 import os
-import tempfile
 import uuid
 import weakref
 from types import SimpleNamespace
@@ -55,29 +41,26 @@ __all__ = [
     "ServiceStore",
     "ArrayStore",
     "SharedMemoryStore",
-    "SpillStore",
     "attach_service_weights",
     "make_store",
 ]
 
 #: ``store=`` spec strings accepted by :func:`make_store` (and therefore
-#: by the evaluator constructor).
-STORE_SPECS = ("memory", "shared", "spill")
+#: by the evaluator constructors).
+STORE_SPECS = ("memory", "shared")
 
-#: Monotone id stamped into every shareable store's handles (and bumped
+#: Monotone id stamped into every shared store's handles (and bumped
 #: when a closed store is re-armed), so a worker's attachment cache can
-#: never serve a mapping from a *previous* store whose segment or spill
-#: file happened to reuse the same name — the cache key is
-#: ``(handle kind, location, shape, generation)``, and two different
-#: backings never share a generation.
+#: never serve a mapping from a *previous* store whose segment happened
+#: to reuse the same name — the cache key is ``(handle kind, name,
+#: shape, generation)``, and two different backings never share a
+#: generation.
 _GENERATIONS = itertools.count(1)
 
 
 def _new_stats() -> SimpleNamespace:
     """Standalone counter namespace (field names match EvaluatorStats)."""
     return SimpleNamespace(
-        store_promotions=0,
-        store_demotions=0,
         store_resident_bytes=0,
         store_resident_peak_bytes=0,
     )
@@ -88,21 +71,13 @@ class ServiceStore:
 
     The evaluator is the only writer; all mutation goes through
     :meth:`put` (whole matrix) and :meth:`write_rows` (repair), and both
-    return the *current backing array* — callers must re-fetch via
-    :meth:`get` after any store operation because implementations are
-    free to move a matrix between buffers (RAM copy vs. memmap window).
-    Returned arrays are always marked read-only.
+    return the backing array, which stays the same buffer until the key
+    is put again or discarded.  Returned arrays are always marked
+    read-only.
     """
 
     #: Whether :meth:`handle` can describe entries to another process.
     shareable = False
-    #: Whether :meth:`get` always returns the same buffer for a key.
-    #: Stores that move matrices between RAM and disk set this False so
-    #: callers re-fetch instead of pinning demoted copies alive.
-    stable_backing = True
-    #: Soft cap (bytes) a bulk builder should stay under per chunk of
-    #: freshly materialized matrices; None means unbounded.
-    chunk_budget_bytes: Optional[int] = None
     name = "base"
 
     def __init__(self) -> None:
@@ -116,7 +91,7 @@ class ServiceStore:
         self.stats = stats
 
     def close(self) -> None:
-        """Release every buffer (segments, spill file)."""
+        """Release every buffer (shared-memory segments included)."""
 
     # -- data plane -----------------------------------------------------
     def put(self, key: int, weights: np.ndarray) -> np.ndarray:
@@ -153,12 +128,9 @@ class ServiceStore:
         """
         return None
 
-    def flush(self, keys: Optional[Sequence[int]] = None) -> None:
-        """Make pending writes visible to :meth:`handle` attachments."""
-
     # -- accounting -----------------------------------------------------
     def resident_bytes(self) -> int:
-        """Bytes currently held in process-private RAM copies."""
+        """Bytes of the matrices the store currently holds."""
         return 0
 
     def _account_resident(self, delta: int) -> None:
@@ -377,276 +349,30 @@ class SharedMemoryStore(ServiceStore):
 
 
 # ----------------------------------------------------------------------
-# Memory-mapped spill store
-# ----------------------------------------------------------------------
-class _SpillSlot:
-    __slots__ = ("offset", "shape", "nbytes", "resident", "dirty")
-
-    def __init__(self, offset: int, shape: Tuple[int, ...], nbytes: int):
-        self.offset = offset
-        self.shape = shape
-        self.nbytes = nbytes
-        self.resident: Optional[np.ndarray] = None
-        self.dirty = False
-
-
-class SpillStore(ServiceStore):
-    """Spill-file arena with a bounded set of resident RAM copies.
-
-    Every matrix owns an (append-allocated, freelist-reused) slab of one
-    spill file.  Hot entries additionally keep an in-RAM copy; the sum of
-    those copies never exceeds ``budget_bytes`` *plus at most one matrix*
-    (the entry being accessed is always promoted first, then older
-    entries are demoted LRU-first — so a budget below a single matrix
-    degenerates to exactly one resident entry).  Demotion writes dirty
-    copies back to the slab; promotion reads the slab back bit-exactly.
-
-    Handles describe ``(path, offset, shape)`` windows, so pool workers
-    can map the same file read-only; :meth:`flush` writes pending dirty
-    copies out first.
-    """
-
-    shareable = True
-    stable_backing = False
-    name = "spill"
-
-    def __init__(
-        self,
-        budget_bytes: int = 64 * 1024 * 1024,
-        directory: Optional[str] = None,
-    ) -> None:
-        super().__init__()
-        if budget_bytes < 0:
-            raise ValueError(f"budget_bytes must be >= 0, got {budget_bytes}")
-        self.budget_bytes = int(budget_bytes)
-        self.chunk_budget_bytes = self.budget_bytes
-        self._directory = directory
-        self._generation = next(_GENERATIONS)
-        fd, path = tempfile.mkstemp(
-            prefix="repro-spill-", suffix=".bin", dir=directory
-        )
-        self._fd = fd
-        self._path = path
-        self._end = 0
-        self._slots: Dict[int, _SpillSlot] = {}
-        #: Resident keys in least-recently-used-first order (dicts keep
-        #: insertion order, so re-inserting on touch is an O(1) LRU).
-        self._lru: Dict[int, None] = {}
-        self._resident_total = 0
-        self._free: Dict[int, List[int]] = {}  # nbytes -> [offsets]
-        self._finalizer = weakref.finalize(self, SpillStore._release, fd, path)
-
-    @staticmethod
-    def _release(fd: int, path: str) -> None:
-        try:
-            os.close(fd)
-        except OSError:  # pragma: no cover - already closed
-            pass
-        try:
-            os.unlink(path)
-        except OSError:  # pragma: no cover - already gone
-            pass
-
-    def _ensure_open(self) -> None:
-        """Open a fresh slab file after a close-then-reuse.
-
-        A ``weakref.finalize`` fires at most once, and :meth:`close`
-        also closed the slab fd — so a store written to again after
-        ``close`` must start a new spill file (with a live finalizer and
-        a new generation) rather than silently re-truncating a dead fd
-        or leaking the new file on exit.
-        """
-        if self._finalizer.alive:
-            return
-        fd, path = tempfile.mkstemp(
-            prefix="repro-spill-", suffix=".bin", dir=self._directory
-        )
-        self._fd = fd
-        self._path = path
-        self._end = 0
-        self._free = {}  # old offsets belonged to the unlinked file
-        self._generation = next(_GENERATIONS)
-        self._finalizer = weakref.finalize(self, SpillStore._release, fd, path)
-
-    def close(self) -> None:
-        self._account_resident(-self.resident_bytes())
-        self._resident_total = 0
-        self._slots.clear()
-        self._lru.clear()
-        self._free = {}
-        self._finalizer()
-
-    @property
-    def path(self) -> str:
-        return self._path
-
-    # -- slab I/O -------------------------------------------------------
-    def _alloc(self, nbytes: int) -> int:
-        pool = self._free.get(nbytes)
-        if pool:
-            return pool.pop()
-        offset = self._end
-        self._end += nbytes
-        os.truncate(self._fd, self._end)
-        return offset
-
-    def _write_slab(self, slot: _SpillSlot, array: np.ndarray) -> None:
-        os.pwrite(self._fd, array.tobytes(), slot.offset)
-        slot.dirty = False
-
-    def _read_slab(self, slot: _SpillSlot) -> np.ndarray:
-        raw = os.pread(self._fd, slot.nbytes, slot.offset)
-        return np.frombuffer(bytearray(raw), dtype=np.float64).reshape(
-            slot.shape
-        )
-
-    # -- residency ------------------------------------------------------
-    def _touch(self, key: int) -> None:
-        self._lru.pop(key, None)
-        self._lru[key] = None
-
-    def _admit(self, key: int, array: np.ndarray) -> None:
-        slot = self._slots[key]
-        slot.resident = _read_only(array)
-        self._resident_total += array.nbytes
-        self._account_resident(array.nbytes)
-        self._touch(key)
-        self._enforce_budget(keep=key)
-
-    def _demote(self, key: int) -> None:
-        slot = self._slots[key]
-        if slot.resident is None:
-            return
-        if slot.dirty:
-            self._write_slab(slot, slot.resident)
-        self._resident_total -= slot.resident.nbytes
-        self._account_resident(-slot.resident.nbytes)
-        slot.resident = None
-        self._lru.pop(key, None)
-        self.stats.store_demotions += 1
-
-    def _enforce_budget(self, keep: int) -> None:
-        while self._resident_total > self.budget_bytes:
-            victim = next((k for k in self._lru if k != keep), None)
-            if victim is None:
-                break
-            self._demote(victim)
-
-    def _promote(self, key: int) -> np.ndarray:
-        slot = self._slots[key]
-        if slot.resident is None:
-            self._admit(key, self._read_slab(slot))
-            self.stats.store_promotions += 1
-        else:
-            self._touch(key)
-        return slot.resident
-
-    # -- ServiceStore API ----------------------------------------------
-    def put(self, key: int, weights: np.ndarray) -> np.ndarray:
-        self._ensure_open()
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-        old = self._slots.get(key)
-        if old is not None and old.nbytes == weights.nbytes:
-            slot = old
-            slot.shape = weights.shape
-            if slot.resident is not None:
-                self._resident_total -= slot.resident.nbytes
-                self._account_resident(-slot.resident.nbytes)
-                slot.resident = None
-                self._lru.pop(key, None)
-        else:
-            if old is not None:
-                self.discard(key)
-            slot = _SpillSlot(
-                self._alloc(weights.nbytes), weights.shape, weights.nbytes
-            )
-            self._slots[key] = slot
-        array = weights.copy()
-        slot.dirty = True
-        self._admit(key, array)
-        return slot.resident
-
-    def get(self, key: int) -> Optional[np.ndarray]:
-        if key not in self._slots:
-            return None
-        return self._promote(key)
-
-    def write_rows(
-        self, key: int, rows: Sequence[int], values: np.ndarray
-    ) -> np.ndarray:
-        array = self._promote(key)
-        _write_rows_inplace(array, rows, values)
-        self._slots[key].dirty = True
-        return array
-
-    def discard(self, key: int) -> None:
-        slot = self._slots.pop(key, None)
-        if slot is None:
-            return
-        if slot.resident is not None:
-            self._resident_total -= slot.resident.nbytes
-            self._account_resident(-slot.resident.nbytes)
-            self._lru.pop(key, None)
-        self._free.setdefault(slot.nbytes, []).append(slot.offset)
-
-    def clear(self) -> None:
-        for key in list(self._slots):
-            self.discard(key)
-
-    def keys(self) -> List[int]:
-        return list(self._slots)
-
-    def resident_bytes(self) -> int:
-        return self._resident_total
-
-    def flush(self, keys: Optional[Sequence[int]] = None) -> None:
-        targets = self._slots.keys() if keys is None else keys
-        for key in targets:
-            slot = self._slots.get(key)
-            if slot is not None and slot.resident is not None and slot.dirty:
-                self._write_slab(slot, slot.resident)
-
-    def handle(self, key: int) -> Optional[Tuple]:
-        slot = self._slots.get(key)
-        if slot is None:
-            return None
-        return (
-            "mmap",
-            self._path,
-            slot.offset,
-            tuple(slot.shape),
-            self._generation,
-        )
-
-
-# ----------------------------------------------------------------------
 # Worker-side attachment
 # ----------------------------------------------------------------------
-#: Per-process cache of attached buffers; keyed by the immutable part of
-#: the handle so long-lived pool workers attach each segment/window once.
-#: ``_ATTACHED_SEGMENTS`` pins the SharedMemory objects so their mappings
-#: outlive the tasks (ndarrays cannot hold arbitrary attributes).
-_ATTACHMENTS: Dict[Tuple, np.ndarray] = {}
-_ATTACHED_SEGMENTS: Dict[Tuple, object] = {}
+#: Per-process cache of attached segments, keyed by the whole handle so
+#: long-lived pool workers attach each segment once.  Each value pins
+#: the SharedMemory object next to its array view, so the mapping
+#: outlives the tasks (ndarrays cannot hold arbitrary attributes).
+_ATTACHMENTS: Dict[Tuple, Tuple[np.ndarray, object]] = {}
 _ATTACHMENT_CAP = 1024
 
 
 def attach_service_weights(handle: Tuple) -> np.ndarray:
     """Materialize a read-only weights view from a store handle.
 
-    Runs inside pool workers.  ``("shm", name, shape, generation)``
-    attaches the named shared-memory segment;
-    ``("mmap", path, offset, shape, generation)`` maps a window of the
-    spill file.  Attachments are cached per process, so repeated tasks
-    against the same matrix touch no syscalls — and because both
-    mappings are shared, in-place repairs by the owner are visible here
-    without re-attaching.
+    Runs inside pool workers: ``("shm", name, shape, generation)``
+    attaches the named shared-memory segment.  Attachments are cached
+    per process, so repeated tasks against the same matrix touch no
+    syscalls — and because the mapping is shared, in-place repairs by
+    the owner are visible here without re-attaching.
 
     The cache key is the *whole* handle including the owning store's
-    generation: a segment or spill-file name can be reused by a later
-    store after the original was closed, and a name-only key would then
-    serve the dead incarnation's mapping — bytes from a buffer the owner
-    has already retired.  A new generation forces a fresh attach.
+    generation: a segment name can be reused by a later store after the
+    original was closed, and a name-only key would then serve the dead
+    incarnation's mapping — bytes from a buffer the owner has already
+    retired.  A new generation forces a fresh attach.
 
     Resource-tracker note: pool workers inherit the owner's tracker
     (multiprocessing ships the tracker fd to fork *and* spawn children),
@@ -654,68 +380,42 @@ def attach_service_weights(handle: Tuple) -> np.ndarray:
     owner's eventual ``unlink`` balances the books — no unregister hack
     is needed here, and adding one would double-unregister.
     """
-    kind = handle[0]
-    if kind == "shm":
-        _kind, segment_name, shape, _generation = handle
-        key = tuple(handle)
-        cached = _ATTACHMENTS.get(key)
-        if cached is not None:
-            return cached
-        from multiprocessing import shared_memory
+    if handle[0] != "shm":
+        raise ValueError(f"unknown service-store handle kind {handle[0]!r}")
+    _kind, segment_name, shape, _generation = handle
+    key = tuple(handle)
+    cached = _ATTACHMENTS.get(key)
+    if cached is not None:
+        return cached[0]
+    from multiprocessing import shared_memory
 
-        segment = shared_memory.SharedMemory(name=segment_name)
-        array = np.ndarray(shape, dtype=np.float64, buffer=segment.buf)
-        array.setflags(write=False)
-        _cache_attachment(key, array)
-        _ATTACHED_SEGMENTS[key] = segment  # keep the mapping alive
-        return array
-    if kind == "mmap":
-        _kind, path, offset, shape, _generation = handle
-        key = tuple(handle)
-        cached = _ATTACHMENTS.get(key)
-        if cached is not None:
-            return cached
-        array = np.memmap(
-            path, dtype=np.float64, mode="r", offset=offset, shape=shape
-        )
-        _cache_attachment(key, array)
-        return array
-    raise ValueError(f"unknown service-store handle kind {kind!r}")
-
-
-def _cache_attachment(key: Tuple, array: np.ndarray) -> None:
+    segment = shared_memory.SharedMemory(name=segment_name)
+    array = np.ndarray(shape, dtype=np.float64, buffer=segment.buf)
+    array.setflags(write=False)
     # FIFO per-entry eviction: dict order makes the oldest attachment —
     # most likely a segment its owner has already retired — the first
     # to go, so a long-lived worker cannot pin unbounded unlinked
     # segments, and hot recent entries survive the cap.
     while len(_ATTACHMENTS) >= _ATTACHMENT_CAP:
-        oldest = next(iter(_ATTACHMENTS))
-        del _ATTACHMENTS[oldest]
-        segment = _ATTACHED_SEGMENTS.pop(oldest, None)
-        if segment is not None:
-            try:
-                segment.close()
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
-    _ATTACHMENTS[key] = array
+        _old_array, old_segment = _ATTACHMENTS.pop(next(iter(_ATTACHMENTS)))
+        try:
+            old_segment.close()
+        except Exception:  # pragma: no cover - best-effort cleanup
+            pass
+    _ATTACHMENTS[key] = (array, segment)
+    return array
 
 
 # ----------------------------------------------------------------------
 def make_store(spec) -> ServiceStore:
-    """Build a store from a spec string or pass an instance through.
-
-    ``"memory"`` | ``"shared"`` | ``"spill"`` (default budget), or any
-    :class:`ServiceStore` instance for custom configuration (e.g.
-    ``SpillStore(budget_bytes=8 << 20)``).
-    """
+    """Build a store from a spec string (``"memory"`` | ``"shared"``) or
+    pass a :class:`ServiceStore` instance through."""
     if isinstance(spec, ServiceStore):
         return spec
     if spec == "memory":
         return ArrayStore()
     if spec == "shared":
         return SharedMemoryStore()
-    if spec == "spill":
-        return SpillStore()
     raise ValueError(
         f"unknown service store {spec!r}; expected one of {STORE_SPECS} "
         f"or a ServiceStore instance"

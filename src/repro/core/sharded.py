@@ -2,10 +2,7 @@
 
 :class:`~repro.core.evaluator.GameEvaluator` caps the reproduction at
 roughly 10^4 peers because one object owns the full ``n x n`` overlay
-distance matrix.  PR 3 already budgets the *service-matrix* side of the
-cache (:class:`~repro.core.service_store.SpillStore`); this module shards
-the remaining monolith — the distance matrix itself — and, with it, the
-service-store budget:
+distance matrix.  This module shards that matrix:
 
 * :class:`ShardPlan` partitions the peers into ``k`` contiguous
   *row blocks*.  Row-block layout matters: the evaluator's incremental
@@ -13,30 +10,23 @@ service-store budget:
   rows of every source that reaches it), so each dirtied row belongs to
   exactly one shard and repair work never crosses shard boundaries.
 * :class:`ShardedDistances` gives every shard its slice of the overlay
-  distance matrix, built lazily and bounded globally: at most
-  ``max_resident_shards`` row blocks are held in RAM at once (LRU), so
-  resident distance bytes stay near ``n^2/k * 8`` instead of ``n^2 * 8``.
-  Cross-shard queries go through the narrow :meth:`ShardedDistances.rows`
-  interface, which assembles copies of the requested rows from their
-  owning shards.
-* :class:`ShardedStore` gives every shard its own
-  :class:`~repro.core.service_store.ServiceStore` (and therefore its own
-  byte budget) and routes each peer's ``W`` matrix — including the
-  zero-copy :meth:`~repro.core.service_store.ServiceStore.handle`
-  descriptors that process-pool workers attach — to the owning shard's
-  store.
+  distance matrix, built lazily, with one block resident at a time, so
+  resident distance bytes stay near ``n^2/k * 8`` instead of
+  ``n^2 * 8``.  Cross-shard queries go through the narrow
+  :meth:`ShardedDistances.rows` interface, which assembles copies of the
+  requested rows from their owning shards.
 * :class:`ShardedEvaluator` is a drop-in
-  :class:`~repro.core.evaluator.GameEvaluator` facade wiring the two
-  together — and, with ``placement="process"``, placing each shard's
-  distance block in its own worker process
+  :class:`~repro.core.evaluator.GameEvaluator` facade over those blocks
+  — and, with ``placement="process"`` or ``"socket"``, places each
+  shard's distance block in its own worker process
   (:mod:`repro.core.shard_workers`) so the coordinator holds no block
   at all.  Strategic queries (``service_costs``, ``best_response``,
-  ``gain_sweep``, ``find_improving_flip``) are inherited unchanged — they
-  are functions of the per-peer service matrices, which the sharded store
-  serves bit-identically — so dynamics trajectories are **identical** to
-  the unsharded evaluator for every shard count, execution backend, and
-  store kind.  Cost queries (``social_cost``, ``peer_costs``) stream
-  shard by shard instead of materializing the full stretch matrix.
+  ``gain_sweep``, ``find_improving_flip``) are inherited unchanged, and
+  so is the one service store that holds the per-peer service matrices,
+  so dynamics trajectories are **identical** to the unsharded evaluator
+  for every shard count, execution backend, and store kind.  Cost
+  queries (``social_cost``, ``peer_costs``) stream shard by shard
+  instead of materializing the full stretch matrix.
 
 Exactness
 ---------
@@ -52,8 +42,8 @@ trajectories are unaffected; tests compare it with a 1e-12 relative
 tolerance.
 
 The trade-off being bought: a released (non-resident) shard block must
-be rebuilt in full on its next query — sharding spends recompute to
-bound memory, exactly like the spill store does for ``W`` matrices.
+be rebuilt in full on its next query — local sharding spends recompute
+to bound memory.
 """
 
 from __future__ import annotations
@@ -66,18 +56,12 @@ import numpy as np
 from repro.core.costs import CostBreakdown, stretch_from_distance_rows
 from repro.core.evaluator import GameEvaluator
 from repro.core.profile import StrategyProfile
-from repro.core.service_store import (
-    ServiceStore,
-    SharedMemoryStore,
-    make_store,
-)
 from repro.graphs.digraph import WeightedDigraph
 from repro.graphs.shortest_paths import multi_source_distances
 
 __all__ = [
     "ShardPlan",
     "ShardedDistances",
-    "ShardedStore",
     "ShardedEvaluator",
     "check_shard_options",
     "build_sharded_evaluator",
@@ -87,15 +71,15 @@ __all__ = [
 def check_shard_options(
     shards: Optional[int],
     placement: Optional[str] = None,
-    max_resident_shards: Optional[int] = None,
     shard_hosts: Optional[Sequence[str]] = None,
 ) -> None:
-    """Validate the shard-tuning knobs shared by dynamics/engine/churn.
+    """Validate the shard options every sharded entry point shares.
 
-    Fails fast with the same messages everywhere so a bad combination —
-    a placement without shards, a nonsensical residency budget — dies at
-    construction instead of deep inside :class:`ShardPlan` or being
-    silently clamped.
+    Fails fast with the same messages everywhere (dynamics, engine,
+    churn, the service state, ``make_evaluator`` and
+    :class:`ShardedEvaluator` itself) so a bad combination — a placement
+    without shards, hosts without socket placement — dies at
+    construction instead of deep inside :class:`ShardPlan`.
     """
     if shards is not None and shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
@@ -122,21 +106,6 @@ def check_shard_options(
 
         for host in shard_hosts:
             parse_address(host)  # fail fast on malformed specs
-    if max_resident_shards is not None:
-        if max_resident_shards < 1:
-            raise ValueError(
-                f"max_resident_shards must be >= 1, got {max_resident_shards}"
-            )
-        if shards is None:
-            raise ValueError(
-                "max_resident_shards requires shards= (it budgets the "
-                "resident row blocks of a sharded evaluator)"
-            )
-        if shards is not None and max_resident_shards > shards:
-            raise ValueError(
-                f"max_resident_shards ({max_resident_shards}) cannot "
-                f"exceed shards ({shards})"
-            )
 
 
 def build_sharded_evaluator(
@@ -145,29 +114,24 @@ def build_sharded_evaluator(
     *,
     shards: int,
     placement: Optional[str] = None,
-    max_resident_shards: Optional[int] = None,
     shard_hosts: Optional[Sequence[str]] = None,
     store="memory",
     dynamic_repair: bool = True,
     fault_plan=None,
     recovery=None,
 ) -> "ShardedEvaluator":
-    """A :class:`ShardedEvaluator` from the optional driver-level knobs.
+    """A :class:`ShardedEvaluator` from optional shard options.
 
-    ``None`` placement/residency mean the class defaults — the one spot
-    where the drivers' "not configured" convention is translated, so
-    every layer (dynamics, engine, churn, ``make_evaluator``) builds
-    identical evaluators from identical flags.
+    ``None`` placement means the class default — the one spot where the
+    callers' "not configured" convention is translated, so every layer
+    (dynamics, engine, churn, ``make_evaluator``) builds identical
+    evaluators from identical flags.
     """
-    check_shard_options(shards, placement, max_resident_shards, shard_hosts)
     return ShardedEvaluator(
         game,
         profile,
         store=store,
         shards=shards,
-        max_resident_shards=(
-            1 if max_resident_shards is None else max_resident_shards
-        ),
         placement="local" if placement is None else placement,
         shard_hosts=shard_hosts,
         dynamic_repair=dynamic_repair,
@@ -226,14 +190,14 @@ class ShardPlan:
 
 
 class ShardedDistances:
-    """Row-block shards of the overlay distance matrix, LRU-bounded.
+    """Row-block shards of the overlay distance matrix, one resident.
 
     Each shard owns rows ``[lo, hi)``; a shard's block is built lazily
     by one multi-source Dijkstra over its own sources and repaired
-    row-incrementally when :meth:`mark_dirty` touched it.  At most
-    ``max_resident`` blocks are resident at once — older blocks are
-    *released* (dropped, counted in ``stats.distance_block_releases``)
-    and rebuilt in full on their next query.
+    row-incrementally when :meth:`mark_dirty` touched it.  One block is
+    resident at a time: a query for another shard first *releases* the
+    resident block (counted in ``stats.distance_block_releases``), and a
+    released block is rebuilt in full on its next query.
 
     Residency is observable through the evaluator's stats counters:
     ``distance_resident_bytes`` / ``distance_resident_peak_bytes`` move
@@ -242,10 +206,9 @@ class ShardedDistances:
     rows exactly as on the unsharded evaluator.
 
     When a :class:`~repro.graphs.dynamic_sssp.RowRepairer` is supplied
-    (the evaluator's, sharing its flip log), dirty rows of resident
-    blocks are patched in place O(affected) instead of re-solved; each
-    block keeps its own flip-log cursor so blocks repaired at different
-    times each replay exactly the flips they missed.
+    (the evaluator's, sharing its flip log), dirty rows of the resident
+    block are patched in place O(affected) instead of re-solved, from
+    the flip-log cursor the block was last brought up to date at.
     """
 
     def __init__(
@@ -253,87 +216,74 @@ class ShardedDistances:
         plan: ShardPlan,
         backend: str,
         stats,
-        max_resident: int = 1,
         repairer=None,
     ) -> None:
-        if max_resident < 1:
-            raise ValueError(
-                f"max_resident must be >= 1, got {max_resident}"
-            )
         self._plan = plan
         self._backend = backend
         self._stats = stats
-        self._max_resident = min(plan.k, int(max_resident))
-        self._blocks: List[Optional[np.ndarray]] = [None] * plan.k
-        self._dirty: List[Set[int]] = [set() for _ in range(plan.k)]
         self._repairer = repairer
-        self._cursors: List[int] = [0] * plan.k
-        #: Resident shards in least-recently-used-first order (dict
-        #: insertion order, same O(1) trick as the spill store's LRU).
-        self._lru: Dict[int, None] = {}
+        #: Index of the resident shard (``None`` when no block is held),
+        #: with its block, its dirty global rows and its flip-log cursor.
+        self._resident: Optional[int] = None
+        self._block: Optional[np.ndarray] = None
+        self._dirty: Set[int] = set()
+        self._cursor = 0
 
     def reset(self) -> None:
-        """Release every block (full invalidation)."""
-        for shard in range(self._plan.k):
-            self._release(shard, count=False)
-        self._lru.clear()
+        """Release the resident block (full invalidation)."""
+        self._release(count=False)
 
     def mark_dirty(self, affected: Set[int]) -> None:
-        """Route dirtied global rows to their owning shards.
+        """Record the dirtied global rows of the resident block.
 
-        Rows of non-resident blocks are ignored: a released block is
+        Rows of other shards are ignored: a non-resident block is
         rebuilt in full anyway, so tracking its dirt would be wasted.
         """
-        for row in affected:
-            shard = self._plan.owner(row)
-            if self._blocks[shard] is not None:
-                self._dirty[shard].add(row)
+        if self._resident is None:
+            return
+        lo, hi = self._plan.bounds[self._resident]
+        self._dirty.update(row for row in affected if lo <= row < hi)
 
     def block(self, shard: int, overlay: WeightedDigraph) -> np.ndarray:
         """The clean, resident row block of ``shard`` (builds/repairs).
 
-        Treat the returned array as read-only; it may be released (and
+        Treat the returned array as read-only; it is released (and
         later rebuilt) by a subsequent call for another shard.
         """
-        block = self._blocks[shard]
         lo, hi = self._plan.bounds[shard]
-        if block is None:
-            # Make room *before* building so the peak is max_resident
-            # blocks, never max_resident + 1 (the e15 memory target
-            # counts this transient).
-            while len(self._lru) >= self._max_resident:
-                self._release(next(iter(self._lru)))
-            block = multi_source_distances(
+        if shard != self._resident:
+            # Release *before* building so the peak is one block, never
+            # two (the e15 memory target counts this transient).
+            self._release()
+            self._block = multi_source_distances(
                 overlay, list(range(lo, hi)), backend=self._backend
             )
-            self._blocks[shard] = block
-            self._dirty[shard] = set()
+            self._resident = shard
             if self._repairer is not None:
-                self._cursors[shard] = self._repairer.head
+                self._cursor = self._repairer.head
             self._stats.distance_block_builds += 1
-            self._account(block.nbytes)
-        elif self._dirty[shard]:
-            rows = sorted(self._dirty[shard])
+            self._stats.account_distance(self._block.nbytes)
+        elif self._dirty:
+            rows = sorted(self._dirty)
             if self._repairer is not None:
                 repaired, fallbacks = self._repairer.repair_block(
-                    block,
+                    self._block,
                     [row - lo for row in rows],
                     rows,
                     overlay,
-                    self._cursors[shard],
+                    self._cursor,
                 )
-                self._cursors[shard] = self._repairer.head
+                self._cursor = self._repairer.head
                 self._stats.distance_vertices_repaired += repaired
                 self._stats.distance_full_fallbacks += fallbacks
             else:
                 fresh = multi_source_distances(
                     overlay, rows, backend=self._backend
                 )
-                block[[row - lo for row in rows]] = fresh
+                self._block[[row - lo for row in rows]] = fresh
             self._stats.distance_rows_recomputed += len(rows)
-            self._dirty[shard] = set()
-        self._touch(shard)
-        return block
+            self._dirty = set()
+        return self._block
 
     def rows(
         self, peers: Sequence[int], overlay: WeightedDigraph
@@ -341,8 +291,8 @@ class ShardedDistances:
         """Copies of the requested distance rows, in ``peers`` order.
 
         The narrow cross-shard query interface: rows are gathered shard
-        by shard (so at most ``max_resident`` blocks are alive during
-        assembly) into a fresh caller-owned array.
+        by shard (so one block is alive at a time during assembly) into
+        a fresh caller-owned array.
         """
         peers = list(peers)
         out = np.empty((len(peers), self._plan.n), dtype=np.float64)
@@ -356,180 +306,15 @@ class ShardedDistances:
                 out[position] = block[peers[position] - lo]
         return out
 
-    def resident_blocks(self) -> int:
-        """Number of row blocks currently held in RAM."""
-        return len(self._lru)
-
-    # -- residency ------------------------------------------------------
-    def _touch(self, shard: int) -> None:
-        self._lru.pop(shard, None)
-        self._lru[shard] = None
-
-    def _release(self, shard: int, count: bool = True) -> None:
-        block = self._blocks[shard]
-        if block is None:
+    def _release(self, count: bool = True) -> None:
+        if self._resident is None:
             return
-        self._account(-block.nbytes)
-        self._blocks[shard] = None
-        self._dirty[shard] = set()
-        self._lru.pop(shard, None)
+        self._stats.account_distance(-self._block.nbytes)
+        self._resident = None
+        self._block = None
+        self._dirty = set()
         if count:
             self._stats.distance_block_releases += 1
-
-    def _account(self, delta: int) -> None:
-        self._stats.account_distance(delta)
-
-
-class ShardedStore(ServiceStore):
-    """A service store routing each peer to its shard's sub-store.
-
-    Every shard owns an independent
-    :class:`~repro.core.service_store.ServiceStore` — so ``k`` spill
-    stores each enforce their *own* byte budget, and handles returned by
-    :meth:`handle` point process-pool workers directly at the owning
-    shard's segment or spill-file window.  The wrapper adds routing
-    only; bytes still move through the sub-stores unchanged, so the
-    bit-exact round-trip contract of the store layer is preserved.
-    """
-
-    name = "sharded"
-
-    def __init__(self, plan: ShardPlan, stores: Sequence[ServiceStore]):
-        super().__init__()
-        if len(stores) != plan.k:
-            raise ValueError(
-                f"plan has {plan.k} shards but {len(stores)} stores given"
-            )
-        self._plan = plan
-        self._stores: List[ServiceStore] = list(stores)
-
-    def _sub(self, key: int) -> ServiceStore:
-        return self._stores[self._plan.owner(key)]
-
-    # -- aggregate capabilities ----------------------------------------
-    @property
-    def shareable(self) -> bool:  # type: ignore[override]
-        return all(store.shareable for store in self._stores)
-
-    @property
-    def stable_backing(self) -> bool:  # type: ignore[override]
-        return all(store.stable_backing for store in self._stores)
-
-    @property
-    def chunk_budget_bytes(self) -> Optional[int]:  # type: ignore[override]
-        """Tightest sub-store budget (a bulk chunk may land in one shard)."""
-        budgets = [
-            store.chunk_budget_bytes
-            for store in self._stores
-            if store.chunk_budget_bytes is not None
-        ]
-        return min(budgets) if budgets else None
-
-    # -- lifecycle ------------------------------------------------------
-    def bind_stats(self, stats) -> None:
-        super().bind_stats(stats)
-        for store in self._stores:
-            store.bind_stats(stats)
-
-    def close(self) -> None:
-        for store in self._stores:
-            store.close()
-
-    # -- data plane (pure routing) -------------------------------------
-    def put(self, key: int, weights: np.ndarray) -> np.ndarray:
-        return self._sub(key).put(key, weights)
-
-    def get(self, key: int) -> Optional[np.ndarray]:
-        return self._sub(key).get(key)
-
-    def write_rows(
-        self, key: int, rows: Sequence[int], values: np.ndarray
-    ) -> np.ndarray:
-        return self._sub(key).write_rows(key, rows, values)
-
-    def discard(self, key: int) -> None:
-        self._sub(key).discard(key)
-
-    def clear(self) -> None:
-        for store in self._stores:
-            store.clear()
-
-    def keys(self) -> List[int]:
-        return [key for store in self._stores for key in store.keys()]
-
-    def handle(self, key: int) -> Optional[Tuple]:
-        return self._sub(key).handle(key)
-
-    def flush(self, keys: Optional[Sequence[int]] = None) -> None:
-        if keys is None:
-            for store in self._stores:
-                store.flush()
-            return
-        by_shard: Dict[int, List[int]] = {}
-        for key in keys:
-            by_shard.setdefault(self._plan.owner(key), []).append(key)
-        for shard, shard_keys in by_shard.items():
-            self._stores[shard].flush(shard_keys)
-
-    def resident_bytes(self) -> int:
-        return sum(store.resident_bytes() for store in self._stores)
-
-    # -- process sharing ------------------------------------------------
-    def migrate_to_shared(self) -> List[int]:
-        """Replace non-shareable sub-stores with shared-memory ones.
-
-        Per-shard counterpart of the evaluator's store auto-migration
-        for distributed backends: only shards whose store cannot hand
-        out cross-process handles are migrated (one copy of their warm
-        entries).  Returns the keys that moved to a new backing, so the
-        caller can drop any views pinned to the retired buffers.
-        """
-        migrated: List[int] = []
-        for shard, old in enumerate(self._stores):
-            if old.shareable:
-                continue
-            new = SharedMemoryStore()
-            new.bind_stats(self.stats)
-            for key in old.keys():
-                new.put(key, old.get(key))
-                old.discard(key)
-                migrated.append(key)
-            old.close()
-            self._stores[shard] = new
-        return migrated
-
-    @property
-    def stores(self) -> Tuple[ServiceStore, ...]:
-        """The per-shard sub-stores (read-mostly; for tests/diagnostics)."""
-        return tuple(self._stores)
-
-
-def _sharded_store(plan: ShardPlan, store) -> ShardedStore:
-    """One sub-store per shard from a spec string / factory / instance."""
-    if isinstance(store, ShardedStore):
-        if len(store.stores) != plan.k:
-            raise ValueError(
-                f"sharded store has {len(store.stores)} sub-stores but the "
-                f"plan needs {plan.k}"
-            )
-        return store
-    if isinstance(store, ServiceStore):
-        raise TypeError(
-            "a single ServiceStore instance cannot back a sharded "
-            "evaluator (each shard needs its own budget); pass a spec "
-            'string ("memory"/"shared"/"spill"), a zero-argument factory '
-            "returning fresh stores, or a ShardedStore"
-        )
-    if callable(store):
-        subs = [store() for _ in range(plan.k)]
-        for sub in subs:
-            if not isinstance(sub, ServiceStore):
-                raise TypeError(
-                    f"store factory returned {type(sub).__name__}, "
-                    f"expected a ServiceStore"
-                )
-        return ShardedStore(plan, subs)
-    return ShardedStore(plan, [make_store(store) for _ in range(plan.k)])
 
 
 class ShardedEvaluator(GameEvaluator):
@@ -539,25 +324,13 @@ class ShardedEvaluator(GameEvaluator):
     ----------------------------------
     shards:
         Number of row-block shards ``k`` (clamped to ``[1, n]``, see
-        :meth:`ShardPlan.build`).  Peer ``p``'s distance row and service
-        matrix both live in shard ``plan.owner(p)``.
-    store:
-        Per-shard service store: a spec string (each shard gets its own
-        fresh store of that kind — so ``"spill"`` means ``k``
-        independent budgets), a zero-argument factory (called once per
-        shard; use ``lambda: SpillStore(budget_bytes=...)`` for custom
-        budgets), or a pre-built :class:`ShardedStore`.  A bare
-        :class:`~repro.core.service_store.ServiceStore` instance is
-        rejected: one shared arena would silently collapse the
-        per-shard budgets this class exists to provide.
-    max_resident_shards:
-        How many distance row blocks may be RAM-resident at once
-        (default 1 — peak resident distance bytes ~ ``n^2/k * 8``).
-        Local placement only: a shard worker process always holds
-        exactly its own block, which *is* the per-process bound.
+        :meth:`ShardPlan.build`).  Peer ``p``'s distance row lives in
+        shard ``plan.owner(p)``; its service matrix lives in the one
+        service store, as on the base class.
     placement:
         Where the distance row blocks live: ``"local"`` (default — in
-        this process, LRU-bounded by ``max_resident_shards``),
+        this process, one block resident at a time, so peak resident
+        distance bytes stay near ``n^2/k * 8``),
         ``"process"`` — one long-lived worker process per shard
         (:class:`~repro.core.shard_workers.ShardWorkerPool`) serving
         ``distance_rows`` and O(n/k) stretch reductions over a narrow
@@ -598,40 +371,24 @@ class ShardedEvaluator(GameEvaluator):
         max_cached_services: int = 512,
         store="memory",
         shards: int = 2,
-        max_resident_shards: int = 1,
         placement: str = "local",
         shard_hosts: Optional[Sequence[str]] = None,
         dynamic_repair: bool = True,
         fault_plan=None,
         recovery=None,
     ) -> None:
-        from repro.core.shard_workers import PLACEMENT_SPECS
-
         # Owned-resource slots first: close() must be a no-op on an
         # instance whose __init__ died in the validation below.
         self._shard_dist: Optional[ShardedDistances] = None
         self._worker_pool = None
 
-        if placement not in PLACEMENT_SPECS:
-            raise ValueError(
-                f"unknown shard placement {placement!r}; expected one of "
-                f"{PLACEMENT_SPECS}"
-            )
-        if shard_hosts and placement != "socket":
-            raise ValueError(
-                "shard_hosts requires shard_placement='socket' (hosts "
-                "name the shard servers socket placement connects to)"
-            )
+        check_shard_options(shards, placement, shard_hosts)
         if fault_plan is not None and not fault_plan.is_null:
             if placement not in ("process", "socket"):
                 raise ValueError(
                     "fault_plan requires a worker placement ('process' or "
                     "'socket'); local placement has no transports to fault"
                 )
-        if max_resident_shards < 1:
-            raise ValueError(
-                f"max_resident_shards must be >= 1, got {max_resident_shards}"
-            )
         plan = ShardPlan.build(game.n, shards)
         self._plan = plan
         self._placement = placement
@@ -645,7 +402,7 @@ class ShardedEvaluator(GameEvaluator):
             profile=None,
             backend=backend,
             max_cached_services=max_cached_services,
-            store=_sharded_store(plan, store),
+            store=store,
             dynamic_repair=dynamic_repair,
         )
         if placement in ("process", "socket"):
@@ -676,11 +433,7 @@ class ShardedEvaluator(GameEvaluator):
             )
         else:
             self._shard_dist = ShardedDistances(
-                plan,
-                backend,
-                self.stats,
-                max_resident_shards,
-                repairer=self._repairer,
+                plan, backend, self.stats, repairer=self._repairer
             )
         self._shard_sums = [None] * plan.k
         if profile is not None:
@@ -783,8 +536,8 @@ class ShardedEvaluator(GameEvaluator):
 
         The narrow cross-shard interface: each row is served by its
         owning shard (built or repaired on demand).  Under local
-        placement only ``max_resident_shards`` blocks are alive while
-        gathering; under process placement the rows come back over the
+        placement one block is alive at a time while gathering; under
+        worker placements the rows come back over the
         worker transport and the coordinator holds no block at all.
         Values are bitwise identical to the same rows of the unsharded
         :meth:`~repro.core.evaluator.GameEvaluator.overlay_distances`.
@@ -863,9 +616,8 @@ class ShardedEvaluator(GameEvaluator):
         """Social cost, streamed one shard block at a time.
 
         The stretch total is accumulated per block (served from the
-        per-shard sum cache when clean), so at most
-        ``max_resident_shards`` distance blocks are resident during the
-        query.  The scalar may differ from the unsharded evaluator's
+        per-shard sum cache when clean), so at most one distance block
+        is resident during the query.  The scalar may differ from the unsharded evaluator's
         full-matrix sum in the last ulp (summation order); see the
         module docstring.
         """
@@ -909,17 +661,6 @@ class ShardedEvaluator(GameEvaluator):
             if term is not None:
                 costs = costs + term
         return costs
-
-    # ------------------------------------------------------------------
-    # Store layer: per-shard migration for distributed backends
-    # ------------------------------------------------------------------
-    def _ensure_shareable_store(self) -> None:
-        if self._store.shareable:
-            return
-        for peer in self._store.migrate_to_shared():
-            entry = self._service.get(peer)
-            if entry is not None:
-                entry.service = None  # view points at the retired buffer
 
     # ------------------------------------------------------------------
     def close(self) -> None:

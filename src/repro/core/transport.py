@@ -39,9 +39,10 @@ Wire format (all integers big-endian)::
                    u64*ndim shape raw-bytes          (ndarray, C order)
              | "P" u64 length pickle-bytes           (small control values)
 
-A corrupt magic, an oversized length, or a stream that ends mid-frame
-raises :class:`FramingError`; a clean EOF *between* frames raises
-:class:`EOFError` (the far side closed in an orderly way).
+A corrupt magic, an oversized length, a stream that ends mid-frame or
+a payload the decoder cannot read raises :class:`FramingError`; a clean
+EOF *between* frames raises :class:`EOFError` (the far side closed in an
+orderly way).
 """
 
 from __future__ import annotations
@@ -205,9 +206,22 @@ def _decode_value(view: memoryview, offset: int) -> Tuple[object, int]:
 
 
 def decode_payload(data: Union[bytes, memoryview]):
-    """Decode one tagged payload; the buffer must hold exactly one value."""
+    """Decode one tagged payload; the buffer must hold exactly one value.
+
+    Every malformed payload raises :class:`FramingError`: whatever the
+    value decoder raises on hostile bytes (runaway nesting, an unknown
+    or object dtype, an impossible shape, a truncated pickle) is
+    re-raised as one, chained to the original, so a connection handler
+    that catches :class:`FramingError` drops the connection instead of
+    dying on an unhandled exception.
+    """
     view = memoryview(data)
-    value, offset = _decode_value(view, 0)
+    try:
+        value, offset = _decode_value(view, 0)
+    except FramingError:
+        raise
+    except Exception as error:
+        raise FramingError(f"malformed payload: {error!r}") from error
     if offset != len(view):
         raise FramingError(
             f"payload has {len(view) - offset} trailing bytes after value"

@@ -78,7 +78,6 @@ HARNESS_PARAMS = frozenset(
         "backend",
         "shards",
         "shard_placement",
-        "max_resident_shards",
         "shard_hosts",
         "game_family",
         "beta",

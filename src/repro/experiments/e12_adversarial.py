@@ -45,7 +45,6 @@ def run(
     backend=None,
     shards: Optional[int] = None,
     shard_placement: Optional[str] = None,
-    max_resident_shards: Optional[int] = None,
     shard_hosts=None,
 ) -> ExperimentResult:
     """Measure degradation + recovery for every adversarial family.
@@ -57,9 +56,7 @@ def run(
     from repro.core.sharded import check_shard_options
     from repro.faults.scenarios import SCENARIO_FAMILIES, run_scenario
 
-    check_shard_options(
-        shards, shard_placement, max_resident_shards, shard_hosts
-    )
+    check_shard_options(shards, shard_placement, shard_hosts)
     if families is None:
         families = tuple(sorted(SCENARIO_FAMILIES)) + ("random-churn",)
     solver_backend = resolve_backend(backend, workers)
@@ -67,7 +64,6 @@ def run(
         "backend": solver_backend,
         "shards": shards,
         "shard_placement": shard_placement,
-        "max_resident_shards": max_resident_shards,
         "shard_hosts": shard_hosts,
     }
 
@@ -126,7 +122,6 @@ def run(
             "workers": workers,
             "shards": shards,
             "shard_placement": shard_placement,
-            "max_resident_shards": max_resident_shards,
             "shard_hosts": tuple(shard_hosts) if shard_hosts else None,
         },
     )

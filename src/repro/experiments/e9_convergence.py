@@ -54,7 +54,6 @@ def run(
     backend=None,
     shards=None,
     shard_placement=None,
-    max_resident_shards=None,
     shard_hosts=None,
 ) -> ExperimentResult:
     """Convergence statistics on random instances vs the witness.
@@ -71,16 +70,14 @@ def run(
     each shard's distance block into its own worker process,
     ``shard_placement="socket"`` hosts those workers behind
     :mod:`repro.shard_server` processes (``shard_hosts`` names the
-    servers; ``None`` forks the shards on this host), and
-    ``max_resident_shards`` budgets the locally resident blocks
-    (identical results; the CLI's ``--shards`` /
-    ``--shard-placement`` / ``--shard-hosts`` /
-    ``--max-resident-shards`` smoke surface).
+    servers; ``None`` forks the shards on this host) — identical
+    results; the CLI's ``--shards`` / ``--shard-placement`` /
+    ``--shard-hosts`` smoke surface.
     """
     from repro.core.backends import resolve_backend
     from repro.core.sharded import check_shard_options
 
-    check_shard_options(shards, shard_placement, max_resident_shards, shard_hosts)
+    check_shard_options(shards, shard_placement, shard_hosts)
     if shards is not None and shards > n:
         raise ValueError(
             f"shards={shards} exceeds this experiment's population "
@@ -104,7 +101,6 @@ def run(
                     backend=solver_backend,
                     shards=shards,
                     shard_placement=shard_placement,
-                    max_resident_shards=max_resident_shards,
                     shard_hosts=shard_hosts,
                 ) as dynamics:
                     result = dynamics.run(max_rounds=max_rounds)
@@ -145,7 +141,6 @@ def run(
                 record_moves=False,
                 shards=shards,
                 shard_placement=shard_placement,
-                max_resident_shards=max_resident_shards,
                 shard_hosts=shard_hosts,
             ) as dynamics:
                 result = dynamics.run(
@@ -198,7 +193,6 @@ def run(
             "backend": solver_backend.name,
             "shards": shards,
             "shard_placement": shard_placement,
-            "max_resident_shards": max_resident_shards,
             "shard_hosts": list(shard_hosts) if shard_hosts else None,
         },
     )

@@ -127,8 +127,8 @@ def corrupt_service_matrices(
 
     Targets the matrices already resident in the evaluator's service
     store (``peers`` narrows the candidates); each flip rewrites one
-    corrupted row through ``write_rows``, so every store flavor
-    (memory, shared, spill) takes the corruption identically.  Returns
+    corrupted row through ``write_rows``, so both store kinds (memory,
+    shared) take the corruption identically.  Returns
     ``(peer, row, bit)`` per flip; empty when nothing is cached.
     """
     store = evaluator._store

@@ -142,7 +142,6 @@ class ServiceState:
         backend=None,
         shards: Optional[int] = None,
         shard_placement: Optional[str] = None,
-        max_resident_shards: Optional[int] = None,
         shard_hosts=None,
         journal: Optional[ServiceJournal] = None,
         peer_policy=None,
@@ -163,9 +162,7 @@ class ServiceState:
             raise ValueError(
                 f"service needs a universe of >= {POPULATION_FLOOR} peers"
             )
-        check_shard_options(
-            shards, shard_placement, max_resident_shards, shard_hosts
-        )
+        check_shard_options(shards, shard_placement, shard_hosts)
         self._metric = metric
         self._alpha = float(alpha)
         #: Cost model every per-epoch subgame is built with.  Journaled
@@ -178,7 +175,6 @@ class ServiceState:
         self._method = method
         self._shards = shards
         self._shard_placement = shard_placement
-        self._max_resident_shards = max_resident_shards
         self._shard_hosts = shard_hosts
         self._journal = journal
         #: Byzantine commit hook (:mod:`repro.faults.adversaries`);
@@ -511,7 +507,6 @@ class ServiceState:
                 store=store,
                 shards=self._shards,
                 placement=self._shard_placement,
-                max_resident_shards=self._max_resident_shards,
                 shard_hosts=self._shard_hosts,
                 dynamic_repair=False,
                 fault_plan=self._fault_plan,

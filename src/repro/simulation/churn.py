@@ -119,10 +119,6 @@ class ChurnSimulation:
         :mod:`repro.shard_server` processes reached over TCP/Unix
         sockets when ``shard_hosts`` is given.  Identical trajectories;
         requires ``shards``.
-    max_resident_shards:
-        Resident row-block budget of each epoch's sharded evaluator
-        (local placement; default 1).  Requires ``shards`` and must not
-        exceed it.
     shard_hosts:
         Socket placement only: shard-server addresses
         (``"host:port"`` / ``"unix:/path"``) to round-robin each
@@ -153,7 +149,6 @@ class ChurnSimulation:
         backend=None,
         shards: Optional[int] = None,
         shard_placement: Optional[str] = None,
-        max_resident_shards: Optional[int] = None,
         shard_hosts=None,
         peer_policy=None,
     ) -> None:
@@ -174,9 +169,7 @@ class ChurnSimulation:
                 f"activation must be 'sequential' or 'batched', "
                 f"got {activation!r}"
             )
-        check_shard_options(
-            shards, shard_placement, max_resident_shards, shard_hosts
-        )
+        check_shard_options(shards, shard_placement, shard_hosts)
         if shards is not None:
             if not incremental:
                 raise ValueError(
@@ -186,7 +179,6 @@ class ChurnSimulation:
                 )
         self._shards = shards
         self._shard_placement = shard_placement
-        self._max_resident_shards = max_resident_shards
         self._shard_hosts = shard_hosts
         self._owns_backend = not isinstance(backend, SolverBackend)
         self._metric = metric
@@ -326,7 +318,6 @@ class ChurnSimulation:
                     store=store,
                     shards=self._shards,
                     placement=self._shard_placement,
-                    max_resident_shards=self._max_resident_shards,
                     shard_hosts=self._shard_hosts,
                 )
             else:

@@ -121,8 +121,7 @@ class SimulationEngine:
         When set, the engine owns a
         :class:`~repro.core.sharded.ShardedEvaluator` with that many
         row-block shards instead of the game's shared evaluator —
-        bounding resident overlay-distance memory to roughly ``1/k``
-        and giving each shard its own service-store budget.
+        bounding resident overlay-distance memory to roughly ``1/k``.
         Trajectories are identical for every shard count.  Mutually
         exclusive with ``evaluator``.
     shard_placement:
@@ -132,10 +131,6 @@ class SimulationEngine:
         workers, behind :mod:`repro.shard_server` processes reached over
         TCP/Unix sockets when ``shard_hosts`` is given.
         Identical trajectories; requires ``shards``.
-    max_resident_shards:
-        Resident row-block budget of the owned sharded evaluator
-        (local placement; default 1).  Requires ``shards`` and must not
-        exceed it.
     shard_hosts:
         Socket placement only: shard-server addresses
         (``"host:port"`` / ``"unix:/path"``) to round-robin shards
@@ -159,7 +154,6 @@ class SimulationEngine:
         backend=None,
         shards: Optional[int] = None,
         shard_placement: Optional[str] = None,
-        max_resident_shards: Optional[int] = None,
         shard_hosts=None,
     ) -> None:
         from repro.core.backends import SolverBackend, resolve_backend
@@ -171,9 +165,7 @@ class SimulationEngine:
         self._owns_backend = False
         self._backend = None
 
-        check_shard_options(
-            shards, shard_placement, max_resident_shards, shard_hosts
-        )
+        check_shard_options(shards, shard_placement, shard_hosts)
         if shards is not None:
             if evaluator is not None:
                 raise ValueError(
@@ -196,7 +188,6 @@ class SimulationEngine:
         self._backend = resolve_backend(backend, workers)
         self._shards = shards
         self._shard_placement = shard_placement
-        self._max_resident_shards = max_resident_shards
         self._shard_hosts = shard_hosts
 
     def close(self) -> None:
@@ -236,7 +227,6 @@ class SimulationEngine:
                     self._game,
                     shards=self._shards,
                     placement=self._shard_placement,
-                    max_resident_shards=self._max_resident_shards,
                     shard_hosts=self._shard_hosts,
                 )
             return self._owned_evaluator

@@ -1,13 +1,12 @@
 """Lifecycle matrix: every teardown path releases every buffer.
 
 The resources at stake: shared-memory segments in ``/dev/shm`` (one per
-cached ``W`` matrix on shared stores), spill-file slabs in the temp
-directory, solver pools, and shard worker processes.  The contract
-pinned here, across stores × backends × shards (including process
-placement):
+cached ``W`` matrix on shared stores), solver pools, and shard worker
+processes.  The contract pinned here, across stores × backends × shards
+(including process placement):
 
 * ``close()`` is idempotent and double-close safe at every layer;
-* after ``close()`` no shm segment and no spill slab survives;
+* after ``close()`` no shm segment survives;
 * an *abandoned* object (no ``close()`` — a test failure mid-run, a
   Ctrl-C) is cleaned by the ``weakref.finalize`` safety nets at garbage
   collection;
@@ -24,7 +23,7 @@ from repro.core.backends import ProcessBackend, SerialBackend
 from repro.core.dynamics import BestResponseDynamics
 from repro.core.evaluator import GameEvaluator
 from repro.core.game import TopologyGame
-from repro.core.service_store import SharedMemoryStore, SpillStore
+from repro.core.service_store import SharedMemoryStore
 from repro.core.sharded import ShardedEvaluator
 from repro.metrics.euclidean import EuclideanMetric
 from repro.simulation.engine import SimulationEngine
@@ -48,20 +47,9 @@ def _shm_entries():
 
 
 def _segment_names(store) -> set:
-    """The shm segment names a (possibly sharded) store currently owns."""
-    stores = getattr(store, "stores", None) or (store,)
-    names = set()
-    for sub in stores:
-        for key in sub.keys():
-            handle = sub.handle(key)
-            if handle is not None and handle[0] == "shm":
-                names.add(handle[1])
-    return names
-
-
-def _spill_paths(store) -> set:
-    stores = getattr(store, "stores", None) or (store,)
-    return {sub.path for sub in stores if isinstance(sub, SpillStore)}
+    """The shm segment names a store currently owns."""
+    handles = (store.handle(key) for key in store.keys())
+    return {handle[1] for handle in handles if handle is not None}
 
 
 EVALUATOR_CONFIGS = [
@@ -69,7 +57,7 @@ EVALUATOR_CONFIGS = [
     ("sharded-local", 2, "local"),
     ("sharded-process", 2, "process"),
 ]
-STORE_SPECS = ["memory", "shared", "spill"]
+STORE_SPECS = ["memory", "shared"]
 
 
 class TestCloseMatrix:
@@ -87,16 +75,12 @@ class TestCloseMatrix:
         evaluator.gain_sweep("greedy")
         evaluator.peer_costs()
         segments = _segment_names(evaluator.store)
-        spills = _spill_paths(evaluator.store)
         if store == "shared":
             assert segments  # the matrix actually lives in /dev/shm
-        if store == "spill":
-            assert spills and all(os.path.exists(p) for p in spills)
         pool = getattr(evaluator, "worker_pool", None)
         evaluator.close()
         evaluator.close()  # double close is safe
         assert not (segments & _shm_entries())
-        assert not any(os.path.exists(path) for path in spills)
         if pool is not None:
             assert pool.closed and pool.alive_workers() == 0
 
@@ -116,6 +100,7 @@ class TestCloseMatrix:
         )
         try:
             evaluator.gain_sweep("greedy", backend=backend)
+            assert isinstance(evaluator.store, SharedMemoryStore)
             segments = _segment_names(evaluator.store)
             assert segments
         finally:
@@ -163,14 +148,6 @@ class TestFinalizerSafetyNets:
         assert not (segments & _shm_entries())
         assert all(not transport.alive for transport in transports)
 
-    def test_abandoned_spill_store_unlinks_slab_file(self):
-        store = SpillStore(budget_bytes=1 << 20)
-        store.put(0, np.ones((4, 5)))
-        path = store.path
-        assert os.path.exists(path)
-        del store
-        assert not os.path.exists(path)
-
 
 class TestCloseThenReuse:
     """A dead finalizer must never guard live segments (the leak bug)."""
@@ -187,20 +164,6 @@ class TestCloseThenReuse:
         assert store._finalizer.alive  # re-armed: exit would clean up
         store.close()
         assert not (second & _shm_entries())
-
-    def test_spill_store_rearms_with_a_fresh_slab_file(self):
-        store = SpillStore(budget_bytes=1 << 20)
-        store.put(0, np.ones((4, 5)))
-        first_path = store.path
-        store.close()
-        assert not os.path.exists(first_path)
-        store.put(1, np.full((4, 5), 2.0))
-        second_path = store.path
-        assert second_path != first_path and os.path.exists(second_path)
-        np.testing.assert_array_equal(store.get(1), np.full((4, 5), 2.0))
-        assert store._finalizer.alive
-        store.close()
-        assert not os.path.exists(second_path)
 
     def test_generation_advances_across_reuse(self):
         store = SharedMemoryStore()

@@ -1,18 +1,12 @@
-"""Service-matrix stores: bit-exact round-trips and bounded residency.
+"""Service-matrix stores: bit-exact round-trips, shareable handles.
 
-Two families of guarantees:
-
-* **Transparency** — every store implementation round-trips matrices
-  bit-exactly and repairs rows in place, so evaluator queries (and whole
-  dynamics trajectories) are identical whichever store backs the cache.
-* **Residency** — the spill store's in-RAM copies never exceed the
-  configured byte budget (plus the single entry being accessed), with
-  promotions/demotions observable through ``EvaluatorStats`` — the
-  memory-ceiling contract large-``n`` deployments rely on.
+Both store kinds (``memory`` and ``shared``) round-trip matrices
+bit-exactly and repair rows in place, so evaluator queries (and whole
+dynamics trajectories) are identical whichever store backs the cache;
+the shared store's handles let another process attach the same pages.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -21,9 +15,9 @@ from repro.core.dynamics import BestResponseDynamics
 from repro.core.evaluator import GameEvaluator
 from repro.core.game import TopologyGame
 from repro.core.service_store import (
+    STORE_SPECS,
     ArrayStore,
     SharedMemoryStore,
-    SpillStore,
     attach_service_weights,
     make_store,
 )
@@ -43,12 +37,7 @@ def _matrix(seed, shape=(4, 5)):
     return weights
 
 
-ALL_STORES = [
-    ArrayStore,
-    SharedMemoryStore,
-    lambda: SpillStore(budget_bytes=1 << 20),
-    lambda: SpillStore(budget_bytes=0),  # everything cold after access
-]
+ALL_STORES = [ArrayStore, SharedMemoryStore]
 
 
 class TestRoundTrip:
@@ -95,13 +84,16 @@ class TestRoundTrip:
         shared = make_store("shared")
         assert isinstance(shared, SharedMemoryStore)
         shared.close()
-        spill = make_store("spill")
-        assert isinstance(spill, SpillStore)
-        spill.close()
         passthrough = ArrayStore()
         assert make_store(passthrough) is passthrough
         with pytest.raises(ValueError, match="unknown service store"):
             make_store("disk")
+
+    def test_removed_spill_spec_is_rejected(self):
+        assert STORE_SPECS == ("memory", "shared")
+        with pytest.raises(ValueError) as info:
+            make_store("spill")
+        assert "('memory', 'shared')" in str(info.value)
 
 
 class TestHandles:
@@ -119,17 +111,6 @@ class TestHandles:
         np.testing.assert_array_equal(attached[1], fresh[0])
         store.close()
 
-    def test_spill_handle_attaches_after_flush(self):
-        store = SpillStore(budget_bytes=1 << 20)
-        weights = _matrix(4)
-        store.put(2, weights.copy())
-        store.flush([2])
-        handle = store.handle(2)
-        assert handle[0] == "mmap"
-        attached = attach_service_weights(handle)
-        np.testing.assert_array_equal(np.asarray(attached), weights)
-        store.close()
-
     def test_array_store_has_no_handles(self):
         store = ArrayStore()
         store.put(0, _matrix(0))
@@ -141,15 +122,14 @@ class TestHandles:
             attach_service_weights(("gpu", "x", (1, 1)))
 
     def test_handles_carry_the_store_generation(self):
-        shared = SharedMemoryStore()
-        shared.put(0, _matrix(0))
-        spill = SpillStore(budget_bytes=1 << 20)
-        spill.put(0, _matrix(0))
-        assert isinstance(shared.handle(0)[-1], int)
-        assert isinstance(spill.handle(0)[-1], int)
-        assert shared.handle(0)[-1] != spill.handle(0)[-1]
-        shared.close()
-        spill.close()
+        first, second = SharedMemoryStore(), SharedMemoryStore()
+        first.put(0, _matrix(0))
+        second.put(0, _matrix(0))
+        assert isinstance(first.handle(0)[-1], int)
+        assert isinstance(second.handle(0)[-1], int)
+        assert first.handle(0)[-1] != second.handle(0)[-1]
+        first.close()
+        second.close()
 
     def test_attach_cache_cannot_serve_a_dead_stores_mapping(
         self, monkeypatch
@@ -187,62 +167,10 @@ class TestHandles:
         second.close()
 
 
-class TestSpillResidency:
-    def test_budget_bounds_resident_bytes(self):
-        matrix_bytes = _matrix(0).nbytes
-        store = SpillStore(budget_bytes=2 * matrix_bytes)
-        for key in range(6):
-            store.put(key, _matrix(key))
-            assert store.resident_bytes() <= store.budget_bytes
-            assert store.stats.store_resident_bytes == store.resident_bytes()
-        # Touching a cold entry promotes it and demotes the LRU victim.
-        before = store.stats.store_promotions
-        np.testing.assert_array_equal(store.get(0), _matrix(0))
-        assert store.stats.store_promotions == before + 1
-        assert store.resident_bytes() <= store.budget_bytes
-        assert store.stats.store_demotions >= 4
-        assert (
-            store.stats.store_resident_peak_bytes
-            <= store.budget_bytes + matrix_bytes
-        )
-        store.close()
-
-    def test_zero_budget_keeps_only_the_active_entry(self):
-        store = SpillStore(budget_bytes=0)
-        for key in range(3):
-            store.put(key, _matrix(key))
-        # Each access keeps exactly the touched entry resident.
-        for key in range(3):
-            np.testing.assert_array_equal(store.get(key), _matrix(key))
-            assert store.resident_bytes() == _matrix(key).nbytes
-        store.close()
-
-    def test_demotion_then_promotion_is_bitexact_after_repair(self):
-        matrix_bytes = _matrix(0).nbytes
-        store = SpillStore(budget_bytes=matrix_bytes)
-        weights = _matrix(5)
-        store.put(0, weights.copy())
-        fresh = _matrix(77)[[1]]
-        store.write_rows(0, [1], fresh)
-        store.put(1, _matrix(6))  # demotes 0 (dirty -> written back)
-        expected = weights.copy()
-        expected[[1]] = fresh
-        np.testing.assert_array_equal(store.get(0), expected)
-        store.close()
-
-    def test_spill_file_removed_on_close(self):
-        store = SpillStore(budget_bytes=1024)
-        path = store.path
-        store.put(0, _matrix(0))
-        assert os.path.exists(path)
-        store.close()
-        assert not os.path.exists(path)
-
-
 class TestEvaluatorIntegration:
     """The acceptance contract: stores are invisible to the game layer."""
 
-    @pytest.mark.parametrize("store_spec", ["shared", "spill"])
+    @pytest.mark.parametrize("store_spec", ["shared"])
     def test_dynamics_trajectory_identical_across_stores(self, store_spec):
         game = _game(n=10)
         reference = BestResponseDynamics(
@@ -261,38 +189,12 @@ class TestEvaluatorIntegration:
         assert run.stopped_reason == reference.stopped_reason
         store.close()
 
-    def test_spill_evaluator_bounds_memory_via_stats(self):
-        game = _game(n=12)
-        n = game.n
-        matrix_bytes = (n - 1) * n * 8
-        budget = 3 * matrix_bytes
-        evaluator = GameEvaluator(
-            game,
-            game.random_profile(0.3, seed=9),
-            store=SpillStore(budget_bytes=budget),
-        )
-        serial = GameEvaluator(game, evaluator.profile)
-        for sweep in range(3):
-            assert evaluator.gain_sweep("greedy") == serial.gain_sweep(
-                "greedy"
-            )
-        stats = evaluator.stats
-        assert stats.store_resident_bytes <= budget
-        # The sweep touches every peer but residency never exceeds the
-        # budget plus the single in-flight matrix.
-        assert stats.store_resident_peak_bytes <= budget + matrix_bytes
-        assert stats.store_promotions > 0
-        assert stats.store_demotions > 0
-        evaluator.close()
-
     def test_memory_store_counts_resident_bytes(self):
         game = _game(n=6)
         evaluator = GameEvaluator(game, game.empty_profile())
         evaluator.batch_service_costs()
         expected = game.n * (game.n - 1) * game.n * 8
         assert evaluator.stats.store_resident_bytes == expected
-        assert evaluator.stats.store_promotions == 0
-        assert evaluator.stats.store_demotions == 0
 
     def test_eviction_releases_store_entries(self):
         game = _game(n=8)

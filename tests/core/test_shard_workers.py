@@ -25,7 +25,6 @@ from repro.core.backends import ProcessBackend, SerialBackend
 from repro.core.dynamics import BatchedScheduler, BestResponseDynamics
 from repro.core.evaluator import GameEvaluator
 from repro.core.game import TopologyGame
-from repro.core.service_store import SpillStore
 from repro.core.sharded import (
     ShardPlan,
     ShardedEvaluator,
@@ -241,8 +240,6 @@ class TestPlacementIdentity:
         assert PLACEMENT_SPECS == ("local", "process", "socket")
         with pytest.raises(ValueError, match="placement"):
             ShardedEvaluator(game, shards=2, placement="cloud")
-        with pytest.raises(ValueError, match="max_resident_shards"):
-            ShardedEvaluator(game, shards=2, max_resident_shards=0)
         with pytest.raises(ValueError, match="shard_hosts"):
             ShardedEvaluator(
                 game, shards=2, placement="process", shard_hosts=("h:1",)
@@ -272,7 +269,7 @@ class TestTrajectoryIdentity:
             assert result.num_moves == reference.num_moves
             assert result.stopped_reason == reference.stopped_reason
 
-    @pytest.mark.parametrize("store", ["memory", "spill"])
+    @pytest.mark.parametrize("store", ["memory", "shared"])
     @pytest.mark.parametrize("make_backend", [SerialBackend, ProcessBackend])
     def test_max_gain_identical_across_backend_store_combos(
         self, store, make_backend
@@ -282,14 +279,9 @@ class TestTrajectoryIdentity:
             game, method="greedy", activation="max-gain"
         ).run(max_rounds=20)
         backend = make_backend()
-        store_spec = (
-            (lambda: SpillStore(budget_bytes=1 << 20))
-            if store == "spill"
-            else store
-        )
         evaluator = ShardedEvaluator(
             TopologyGame(game.metric, game.alpha),
-            store=store_spec,
+            store=store,
             shards=4,
             placement="process",
         )
@@ -389,18 +381,6 @@ class TestDriverValidation:
         with pytest.raises(ValueError, match="requires shards"):
             game.make_evaluator(placement="process")
 
-    def test_max_resident_shards_validated_everywhere(self):
-        game = _random_game(16, n=6)
-        metric = EuclideanMetric.random_uniform(6, dim=2, seed=0)
-        with pytest.raises(ValueError, match="cannot exceed"):
-            BestResponseDynamics(game, shards=2, max_resident_shards=3)
-        with pytest.raises(ValueError, match="requires shards"):
-            SimulationEngine(game, max_resident_shards=2)
-        with pytest.raises(ValueError, match=">= 1"):
-            ChurnSimulation(
-                metric, alpha=1.0, shards=2, max_resident_shards=0
-            )
-
     def test_unknown_placement_rejected(self):
         game = _random_game(16, n=6)
         with pytest.raises(ValueError, match="unknown shard placement"):
@@ -411,7 +391,7 @@ class TestDriverValidation:
     def test_make_evaluator_builds_process_placement(self):
         game = _random_game(17, n=8)
         with game.make_evaluator(
-            shards=2, placement="process", max_resident_shards=1
+            shards=2, placement="process"
         ) as evaluator:
             assert isinstance(evaluator, ShardedEvaluator)
             assert evaluator.placement == "process"

@@ -20,13 +20,8 @@ from repro.core.backends import ProcessBackend, SerialBackend
 from repro.core.dynamics import BatchedScheduler, BestResponseDynamics
 from repro.core.evaluator import GameEvaluator
 from repro.core.game import TopologyGame
-from repro.core.service_store import ArrayStore, SpillStore
-from repro.core.sharded import (
-    ShardPlan,
-    ShardedDistances,
-    ShardedEvaluator,
-    ShardedStore,
-)
+from repro.core.service_store import ArrayStore, SharedMemoryStore
+from repro.core.sharded import ShardPlan, ShardedEvaluator
 from repro.metrics.euclidean import EuclideanMetric
 from repro.simulation.churn import ChurnSimulation
 from repro.simulation.engine import SimulationEngine
@@ -88,89 +83,45 @@ class TestShardPlan:
             ShardPlan.build(5, 2).owner(5)
 
 
-class TestShardedStore:
-    def test_routes_each_key_to_its_owning_substore(self):
-        plan = ShardPlan.build(6, 3)
-        store = ShardedStore(plan, [ArrayStore() for _ in range(3)])
-        for peer in range(6):
-            store.put(peer, np.full((5, 6), float(peer)))
-        for peer in range(6):
-            owner = plan.owner(peer)
-            for shard, sub in enumerate(store.stores):
-                assert (peer in sub.keys()) == (shard == owner)
-            np.testing.assert_array_equal(
-                store.get(peer), np.full((5, 6), float(peer))
-            )
-        assert sorted(store.keys()) == list(range(6))
-        store.close()
+class TestServiceStore:
+    """A sharded evaluator holds one service store, as the base class
+    does: same specs, same instances, same migration."""
 
-    def test_substore_count_must_match_plan(self):
-        plan = ShardPlan.build(4, 2)
-        with pytest.raises(ValueError):
-            ShardedStore(plan, [ArrayStore()])
-
-    def test_handles_come_from_the_owning_shard(self):
-        plan = ShardPlan.build(4, 2)
-        subs = [SpillStore(budget_bytes=1 << 20) for _ in range(2)]
-        store = ShardedStore(plan, subs)
-        for peer in range(4):
-            store.put(peer, np.full((3, 4), float(peer)))
-        store.flush()
-        for peer in range(4):
-            handle = store.handle(peer)
-            assert handle is not None
-            # Spill handles carry the owning shard's file path.
-            assert handle[1] == subs[plan.owner(peer)].path
-        store.close()
-
-    def test_chunk_budget_is_the_tightest_substore_budget(self):
-        plan = ShardPlan.build(4, 2)
-        store = ShardedStore(
-            plan,
-            [SpillStore(budget_bytes=1 << 20), SpillStore(budget_bytes=1 << 16)],
-        )
-        assert store.chunk_budget_bytes == 1 << 16
-        store.close()
-        memory = ShardedStore(plan, [ArrayStore(), ArrayStore()])
-        assert memory.chunk_budget_bytes is None
-        memory.close()
-
-    def test_bare_store_instance_rejected_by_evaluator(self):
+    def test_holds_one_store_like_the_base_class(self):
         game = _random_game(0, n=6)
-        with pytest.raises(TypeError):
-            ShardedEvaluator(game, store=ArrayStore(), shards=2)
+        profile = game.random_profile(0.4, seed=1)
+        kinds = {"memory": ArrayStore, "shared": SharedMemoryStore}
+        for spec, kind in kinds.items():
+            with ShardedEvaluator(game, profile, store=spec, shards=3) as ev:
+                ev.batch_service_costs()
+                assert isinstance(ev.store, kind)
+                assert sorted(ev.store.keys()) == list(range(game.n))
+        store = ArrayStore()
+        with ShardedEvaluator(game, profile, store=store, shards=2) as ev:
+            assert ev.store is store
+        with pytest.raises(ValueError, match="unknown service store"):
+            ShardedEvaluator(game, store=lambda: ArrayStore(), shards=2)
 
-    def test_store_factory_builds_one_substore_per_shard(self):
-        game = _random_game(0, n=6)
-        evaluator = ShardedEvaluator(
-            game,
-            game.random_profile(0.4, seed=1),
-            store=lambda: SpillStore(budget_bytes=1 << 20),
-            shards=3,
-        )
-        assert all(
-            isinstance(sub, SpillStore) for sub in evaluator.store.stores
-        )
-        assert len(evaluator.store.stores) == 3
-        evaluator.close()
-
-    def test_migrate_to_shared_preserves_bytes(self):
-        plan = ShardPlan.build(4, 2)
-        store = ShardedStore(plan, [ArrayStore(), ArrayStore()])
-        expected = {
-            peer: np.arange(12, dtype=float).reshape(3, 4) + peer
-            for peer in range(4)
-        }
-        for peer, weights in expected.items():
-            store.put(peer, weights.copy())
-        assert not store.shareable
-        migrated = store.migrate_to_shared()
-        assert sorted(migrated) == list(range(4))
-        assert store.shareable
-        for peer, weights in expected.items():
-            np.testing.assert_array_equal(store.get(peer), weights)
-            assert store.handle(peer) is not None
-        store.close()
+    def test_process_sweep_migrates_to_one_shared_store(self):
+        game = _random_game(4, n=12)
+        profile = game.random_profile(0.3, seed=2)
+        evaluator = ShardedEvaluator(game, profile, shards=3)
+        backend = ProcessBackend(workers=2)
+        try:
+            warm = {
+                peer: service.weights.copy()
+                for peer, service in enumerate(evaluator.batch_service_costs())
+            }
+            got = evaluator.gain_sweep("greedy", backend=backend)
+            assert isinstance(evaluator.store, SharedMemoryStore)
+            for peer, weights in warm.items():
+                np.testing.assert_array_equal(
+                    evaluator.store.get(peer), weights
+                )
+            assert got == GameEvaluator(game, profile).gain_sweep("greedy")
+        finally:
+            backend.close()
+            evaluator.close()
 
 
 class TestCostIdentity:
@@ -292,7 +243,7 @@ class TestTrajectoryIdentity:
             assert result.num_moves == reference.num_moves
             assert result.stopped_reason == reference.stopped_reason
 
-    @pytest.mark.parametrize("store", ["memory", "spill"])
+    @pytest.mark.parametrize("store", ["memory", "shared"])
     @pytest.mark.parametrize("make_backend", [SerialBackend, ProcessBackend])
     def test_max_gain_identical_across_backend_store_combos(
         self, store, make_backend
@@ -340,8 +291,8 @@ class TestTrajectoryIdentity:
             ).run(max_rounds=12)
             assert report.profile.key() == reference.profile.key()
             assert report.moves == reference.moves
-            # The auto-migration must have made every shard shareable.
-            assert evaluator.store.shareable
+            # The auto-migration must have made the one store shareable.
+            assert isinstance(evaluator.store, SharedMemoryStore)
         finally:
             backend.close()
             evaluator.close()
@@ -421,9 +372,7 @@ class TestMemoryBound:
         full_bytes = reference.stats.distance_resident_peak_bytes
         assert full_bytes == n * n * 8
 
-        evaluator = ShardedEvaluator(
-            game, profile, shards=shards, max_resident_shards=1
-        )
+        evaluator = ShardedEvaluator(game, profile, shards=shards)
         evaluator.peer_costs()
         evaluator.social_cost()
         # Single-peer rebinds keep the bound through repair traffic too.
@@ -438,27 +387,12 @@ class TestMemoryBound:
         assert evaluator.stats.distance_block_releases > 0
         evaluator.close()
 
-    def test_higher_residency_budget_keeps_blocks_warm(self):
-        game = _random_game(12, n=24)
-        profile = game.random_profile(0.3, seed=1)
-        evaluator = ShardedEvaluator(
-            game, profile, shards=4, max_resident_shards=4
-        )
-        evaluator.social_cost()
-        builds = evaluator.stats.distance_block_builds
-        evaluator.social_cost()
-        assert evaluator.stats.distance_block_builds == builds
-        assert evaluator.stats.distance_block_releases == 0
-        evaluator.close()
-
     def test_clean_shards_serve_repeat_cost_queries_from_sum_cache(self):
         """An unchanged profile must not rebuild released blocks."""
         game = _random_game(13, n=32)
         profile = game.random_profile(0.2, seed=2)
         reference = GameEvaluator(game, profile)
-        evaluator = ShardedEvaluator(
-            game, profile, shards=4, max_resident_shards=1
-        )
+        evaluator = ShardedEvaluator(game, profile, shards=4)
         first_costs = evaluator.peer_costs()
         first_total = evaluator.social_cost()
         builds = evaluator.stats.distance_block_builds

@@ -11,7 +11,9 @@ bad magic, oversized lengths, truncated payloads, unknown tags — raises
 """
 
 import io
+import pickle
 import socket
+import struct
 import threading
 import time
 
@@ -55,6 +57,26 @@ def _assert_value_equal(got, expected) -> None:
             _assert_value_equal(got[key], e)
     else:
         assert got == expected
+
+
+def _raw_frame(payload: bytes) -> bytes:
+    """A frame around hand-built payload bytes (no encoder involved)."""
+    return struct.pack("!4sQ", MAGIC, len(payload)) + payload
+
+
+def _nested_tuples(depth: int) -> bytes:
+    """Payload of ``depth`` nested one-element tuples around ``None``."""
+    return (b"T" + struct.pack("!I", 1)) * depth + b"N"
+
+
+def _array_header(dtype: bytes, *shape: int) -> bytes:
+    """An ``A`` payload header with the given dtype string and shape."""
+    dims = b"".join(struct.pack("!Q", dim) for dim in shape)
+    return b"A" + bytes([len(dtype)]) + dtype + bytes([len(shape)]) + dims
+
+
+def _pickle_payload(blob: bytes) -> bytes:
+    return b"P" + struct.pack("!Q", len(blob)) + blob
 
 
 def _one_byte_reader(data: bytes):
@@ -171,8 +193,6 @@ class TestFrameReader:
             decode_frame(bad)
 
     def test_oversized_length_rejected_without_allocation(self):
-        import struct
-
         bad = struct.pack("!4sQ", MAGIC, MAX_FRAME_BYTES + 1)
         with pytest.raises(FramingError, match="cap"):
             read_frame(io.BytesIO(bad + b"x").read)
@@ -199,6 +219,31 @@ class TestFrameReader:
         payload = encode_payload(("ok", np.arange(10.0)))
         with pytest.raises(FramingError):
             decode_payload(payload[:-3])
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            pytest.param(_nested_tuples(1000), id="nested-1000"),
+            pytest.param(
+                _array_header(b"|O", 1) + bytes(8), id="object-dtype"
+            ),
+            pytest.param(_array_header(b"<f8", 2**40, 2**40), id="huge-shape"),
+            pytest.param(_array_header(b"zz9", 0), id="unknown-dtype"),
+            pytest.param(_array_header(b"\xff", 0), id="non-ascii-dtype"),
+            pytest.param(
+                _pickle_payload(pickle.dumps(("ok", 1))[:2]),
+                id="truncated-pickle",
+            ),
+        ],
+    )
+    def test_malformed_payload_is_a_framing_error(self, payload):
+        # Whatever the value decoder trips over must surface as the one
+        # error the connection handlers catch, chained to its cause.
+        with pytest.raises(FramingError, match="malformed payload") as info:
+            decode_payload(payload)
+        assert info.value.__cause__ is not None
+        with pytest.raises(FramingError):
+            read_frame(io.BytesIO(_raw_frame(payload)).read)
 
 
 class TestAddresses:
@@ -460,6 +505,28 @@ class TestShardServerHandshake:
             "error",
             "expected an 'init' handshake",
         )
+
+    def test_hostile_first_frame_drops_only_that_connection(
+        self, server, monkeypatch
+    ):
+        """A first frame the codec cannot decode (1 000 nested tuples)
+        closes that connection without killing its handler thread on an
+        unhandled exception; the next client is served."""
+        from repro.core.transport import SocketTransport, connect_address
+
+        died = []
+        monkeypatch.setattr(threading, "excepthook", died.append)
+        with connect_address(server.address, timeout=5.0) as sock:
+            sock.settimeout(5.0)
+            sock.sendall(_raw_frame(_nested_tuples(1000)))
+            with pytest.raises(EOFError):
+                recv_frame(sock)
+        transport = SocketTransport(server.address, 0, 2, self._dmat())
+        try:
+            assert transport.request(("ping",)) == "pong"
+        finally:
+            transport.close()
+        assert died == []
 
     def test_well_formed_client_is_served_after_refusals(self, server):
         from repro.core.transport import SocketTransport

@@ -127,27 +127,11 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "--shard-placement needs --shards" in capsys.readouterr().err
 
-    def test_max_resident_shards_validation(self, capsys):
-        # Needs --shards ...
+    def test_removed_max_resident_shards_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "E9", "--max-resident-shards", "2"])
+            main(["run", "E9", "--shards", "2", "--max-resident-shards", "2"])
         assert excinfo.value.code == 2
-        assert "--max-resident-shards needs --shards" in (
-            capsys.readouterr().err
-        )
-        # ... must not exceed it ...
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["run", "E9", "--shards", "2", "--max-resident-shards", "4"]
-            )
-        assert excinfo.value.code == 2
-        assert "cannot exceed" in capsys.readouterr().err
-        # ... and must be positive.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["run", "E9", "--shards", "2", "--max-resident-shards", "0"]
-            )
-        assert "max-resident-shards must be >= 1" in (
+        assert "unrecognized arguments: --max-resident-shards" in (
             capsys.readouterr().err
         )
 
@@ -157,12 +141,10 @@ class TestParser:
                 "run", "E9",
                 "--shards", "4",
                 "--shard-placement", "process",
-                "--max-resident-shards", "2",
             ]
         )
         assert args.shards == 4
         assert args.shard_placement == "process"
-        assert args.max_resident_shards == 2
 
     def test_shards_exceeding_population_is_a_clean_error(self, capsys):
         # Validated by the experiment runner (the CLI cannot know n):
