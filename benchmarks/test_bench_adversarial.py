@@ -88,7 +88,7 @@ def test_bench_null_plan_identity():
             initial_active=range(16),
             journal=journal,
             shards=2,
-            shard_placement="process",
+            shard_placement="socket",
             fault_plan=plan,
         ) as state:
             for _ in range(3):

@@ -23,7 +23,7 @@ pins the service's two contracts:
   journal must replay — through the closed-loop epoch engine, on the
   *default* execution harness — to the bit-identical trajectory (digest
   per epoch, move counts, final overlay), whatever harness produced it.
-  Asserted for the serial, sharded-local and sharded-process
+  Asserted for the serial, sharded-local and sharded-socket
   configurations.
 
 Tail latency here is open-loop sojourn time (queue wait + epoch), the
@@ -70,7 +70,7 @@ SPEEDUP_FLOOR_CHURN_MIX = 1.2
 CONFIGS = [
     ("serial", {}),
     ("sharded-local", {"shards": 2}),
-    ("sharded-process", {"shards": 2, "shard_placement": "process"}),
+    ("sharded-socket", {"shards": 2, "shard_placement": "socket"}),
 ]
 
 

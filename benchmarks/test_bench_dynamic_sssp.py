@@ -219,9 +219,9 @@ def _trajectory_matrix(n: int):
          "memory"),
         ("dynamic,local-k=4,serial,shared", ("local", 4), SerialBackend(),
          "shared"),
-        ("dynamic,process-k=2,serial,memory", ("process", 2),
+        ("dynamic,socket-k=2,serial,memory", ("socket", 2),
          SerialBackend(), "memory"),
-        ("dynamic,process-k=4,process,memory", ("process", 4), solver_pool,
+        ("dynamic,socket-k=4,process,memory", ("socket", 4), solver_pool,
          "memory"),
     ]
     rows = []

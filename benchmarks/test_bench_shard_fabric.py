@@ -2,8 +2,8 @@
 
 Every shard speaks the framed socket protocol of
 :mod:`repro.core.transport`, whether it is a **forked** same-host child
-on a socketpair (``placement="process"``, or ``"socket"`` without
-hosts) or a **remote** shard served by a :mod:`repro.shard_server`
+on a socketpair (``placement="socket"`` without hosts) or a
+**remote** shard served by a :mod:`repro.shard_server`
 (here one server process on a Unix socket, reached through
 ``--shard-hosts``).  Every broadcast is **pipelined**: the pool puts all
 ``k`` requests on the wire before collecting any reply, so a broadcast

@@ -1,7 +1,7 @@
 """E16 benchmark: shard worker processes — distributed distance rows.
 
 PR 5 promotes the sharded evaluator's row-block shards to per-shard
-*worker processes* (``placement="process"``,
+*worker processes* (``placement="socket"``,
 :mod:`repro.core.shard_workers`): each worker owns its distance slice
 and serves ``distance_rows`` / O(n/k) stretch reductions over a narrow
 request/reply transport, so the coordinator process holds **no**
@@ -9,12 +9,12 @@ resident distance block at all.  This bench measures both axes:
 
 * **Memory headline (n=256, k=4)**: the e15 query sequence — peer
   costs, social cost, single-peer rebinds with re-queries, a partial
-  gain sweep — under process placement, asserting that (a) the
+  gain sweep — under socket placement, asserting that (a) the
   coordinator's ``distance_resident_peak_bytes`` stays at **zero** and
   (b) every worker's peak resident block stays at or below ``1/k`` of
   the unsharded matrix plus slack — while every per-row output is
   bit-identical to the unsharded evaluator.
-* **Trajectory identity (n=64)**: max-gain greedy dynamics with process
+* **Trajectory identity (n=64)**: max-gain greedy dynamics with socket
   placement across shard counts, execution backends and stores
   (memory and shared stores, and a solver process pool running
   *alongside* the shard workers) must all walk the unsharded serial
@@ -22,7 +22,7 @@ resident distance block at all.  This bench measures both axes:
 
 Both assertions are hardware-independent (stats counters and
 trajectory keys, not RSS or wall time), so they are asserted
-unconditionally — no honest-skip needed here.  Process placement buys
+unconditionally — no honest-skip needed here.  Socket placement buys
 address-space isolation at the cost of transport round-trips; the JSON
 records the measured wall times so that trade-off stays visible.
 
@@ -110,7 +110,7 @@ def _memory_workload(evaluator, profile: StrategyProfile):
 
 
 def _memory_headline(n: int, shards: int):
-    """Coordinator/worker resident distance bytes under process placement."""
+    """Coordinator/worker resident distance bytes under socket placement."""
     profile = _connected_profile(n)
     reference = GameEvaluator(_game(n))
     ref_outputs, ref_wall = _timed(
@@ -119,7 +119,7 @@ def _memory_headline(n: int, shards: int):
     full_bytes = reference.stats.distance_resident_peak_bytes
     assert full_bytes == n * n * 8, "unsharded peak must be the full matrix"
 
-    remote = ShardedEvaluator(_game(n), shards=shards, placement="process")
+    remote = ShardedEvaluator(_game(n), shards=shards, placement="socket")
     try:
         remote_outputs, remote_wall = _timed(
             lambda: _memory_workload(remote, profile)
@@ -141,7 +141,7 @@ def _memory_headline(n: int, shards: int):
     worker_fraction = worker_peak / full_bytes
     assert coordinator_peak == 0, (
         f"coordinator held {coordinator_peak} resident distance bytes "
-        f"under process placement; expected none"
+        f"under socket placement; expected none"
     )
     assert worker_fraction <= RESIDENT_FRACTION_CEILING, (
         f"worker resident peak {worker_peak} is {worker_fraction:.2%} of "
@@ -159,10 +159,10 @@ def _memory_headline(n: int, shards: int):
         },
         {
             "scenario": (
-                f"distance-memory(n={n},shards={shards},process)"
+                f"distance-memory(n={n},shards={shards},socket)"
             ),
             "n": n,
-            "config": f"shards={shards},placement=process,coordinator",
+            "config": f"shards={shards},placement=socket,coordinator",
             "wall_s": remote_wall,
             "resident_peak_bytes": coordinator_peak,
             "peak_fraction": coordinator_fraction,
@@ -173,7 +173,7 @@ def _memory_headline(n: int, shards: int):
                 f"distance-memory(n={n},shards={shards},max-worker)"
             ),
             "n": n,
-            "config": f"shards={shards},placement=process,max-worker",
+            "config": f"shards={shards},placement=socket,max-worker",
             "wall_s": remote_wall,
             "resident_peak_bytes": worker_peak,
             "peak_fraction": worker_fraction,
@@ -205,15 +205,15 @@ def _run_trajectory(game: TopologyGame, evaluator, backend, label: str):
 
 
 def _trajectory_matrix(n: int):
-    """Process-placement trajectories across k × backend × store."""
+    """Socket-placement trajectories across k × backend × store."""
     solver_pool = ProcessBackend(workers=2)
     combos = [
         ("unsharded,serial,memory", None, SerialBackend(), "memory"),
-        ("process-k=1,serial,memory", 1, SerialBackend(), "memory"),
-        ("process-k=2,serial,memory", 2, SerialBackend(), "memory"),
-        ("process-k=4,serial,memory", 4, SerialBackend(), "memory"),
-        ("process-k=4,serial,shared", 4, SerialBackend(), "shared"),
-        ("process-k=2,process,auto-shared", 2, solver_pool, "memory"),
+        ("socket-k=1,serial,memory", 1, SerialBackend(), "memory"),
+        ("socket-k=2,serial,memory", 2, SerialBackend(), "memory"),
+        ("socket-k=4,serial,memory", 4, SerialBackend(), "memory"),
+        ("socket-k=4,serial,shared", 4, SerialBackend(), "shared"),
+        ("socket-k=2,process,auto-shared", 2, solver_pool, "memory"),
     ]
     rows = []
     try:
@@ -223,7 +223,7 @@ def _trajectory_matrix(n: int):
                 evaluator = game.make_evaluator()
             else:
                 evaluator = ShardedEvaluator(
-                    game, shards=shards, store=store, placement="process"
+                    game, shards=shards, store=store, placement="socket"
                 )
             try:
                 rows.append(_run_trajectory(game, evaluator, backend, label))
@@ -261,7 +261,7 @@ def test_shard_workers_smoke():
             method="greedy",
             activation="max-gain",
             shards=shards,
-            shard_placement="process",
+            shard_placement="socket",
         ) as engine:
             report = engine.run(max_rounds=6)
         assert report.profile.key() == reference.profile.key()
@@ -304,7 +304,7 @@ def test_shard_workers_report(benchmark):
         "E16: Shard worker processes — distributed distance rows, "
         "zero coordinator residency + trajectory identity\n"
         + _format_table(memory_rows + trajectory_rows)
-        + "\n\nE16: per-shard worker processes behind placement=\"process\""
+        + "\n\nE16: per-shard worker processes behind placement=\"socket\""
         + "\n  claim   : the coordinator holds 0 resident distance bytes "
         + "and no worker exceeds "
         + f"{RESIDENT_FRACTION_CEILING:.0%} of the unsharded matrix, "

@@ -91,15 +91,13 @@ def _add_execution_flags(command) -> None:
     )
     command.add_argument(
         "--backend",
-        choices=("serial", "process", "shard"),
+        choices=("serial", "process"),
         default=None,
         help=(
             "execution backend for batched response solves: 'serial' "
             "(the default) solves in this process, 'process' runs a "
             "worker pool over a shared-memory service-matrix store "
-            "(needs --workers >= 2), 'shard' routes each solve to the "
-            "shard worker owning the peer (needs --shard-placement "
-            "process or socket)"
+            "(needs --workers >= 2)"
         ),
     )
     command.add_argument(
@@ -116,17 +114,16 @@ def _add_execution_flags(command) -> None:
     )
     command.add_argument(
         "--shard-placement",
-        choices=("local", "process", "socket"),
+        choices=("local", "socket"),
         default=None,
         help=(
             "where the shard row blocks live (needs --shards): 'local' "
-            "keeps them in this process (the default), 'process' runs "
+            "keeps them in this process (the default), 'socket' runs "
             "one long-lived worker process per shard serving distance "
-            "rows over a socketpair, 'socket' does the same or, with "
-            "--shard-hosts, hosts the workers behind shard servers "
-            "reached over TCP/Unix sockets — with either worker "
-            "placement the coordinator holds no distance block at all; "
-            "trajectories are identical for every placement"
+            "rows over a socketpair or, with --shard-hosts, hosts the "
+            "workers behind shard servers reached over TCP/Unix "
+            "sockets — the coordinator then holds no distance block at "
+            "all; trajectories are identical for every placement"
         ),
     )
     command.add_argument(
@@ -194,14 +191,6 @@ def _check_execution_flags(args, parser: argparse.ArgumentParser) -> None:
         parser.error(
             "--shard-placement needs --shards: there is nothing to "
             "place without a shard count"
-        )
-    if getattr(args, "backend", None) == "shard" and placement not in (
-        "process",
-        "socket",
-    ):
-        parser.error(
-            "--backend shard routes solves to shard worker processes; "
-            "it needs --shard-placement process or socket"
         )
     if shard_hosts is not None:
         if placement != "socket":
@@ -344,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         "separated key=value pairs — seed=N, drop/corrupt/delay=RATE, "
         "delay_ms=F, max_ops=N, kill=SITE@OP (repeatable); 'null' "
         "disables. Transport faults require --shard-placement "
-        "process|socket; the service queue is always faultable",
+        "socket; the service queue is always faultable",
     )
     serve.add_argument(
         "--quiet", action="store_true", help="suppress stderr log lines"
@@ -583,7 +572,7 @@ def _cmd_serve(args) -> int:
             fault_plan = None
     # Transport-level faults need per-shard worker transports to wrap;
     # without them only the service-queue site is live.
-    transports_faultable = args.shard_placement in ("process", "socket")
+    transports_faultable = args.shard_placement == "socket"
     journal = ServiceJournal() if args.journal else None
     # ServiceState takes a model object, not the flag pair: convert and
     # drop the harness keys meant for experiment runners.

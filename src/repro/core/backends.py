@@ -14,11 +14,8 @@ one, so it lives behind a tiny protocol:
     workers *attach* to the evaluator's shareable
     :mod:`~repro.core.service_store` (shared-memory segments) and
     solve against the parent's pages directly — tasks
-    carry ``(store_handle, peer, strategy, profile_digest)``, never the
+    carry ``(store_handle, peer, strategy, alpha, method)``, never the
     ``W`` matrix itself, so dispatch cost is independent of ``n``.
-``"shard"``
-    :class:`~repro.core.shard_workers.ShardSolverBackend` ships each
-    solve to the shard worker that owns the peer.
 
 Every backend runs the same pure function
 (:func:`~repro.core.best_response.best_response_from_service`) on the
@@ -52,17 +49,11 @@ __all__ = [
 ]
 
 #: ``--backend`` spec strings accepted by :func:`resolve_backend`.
-#: ``"shard"`` routes solves to shard worker processes/servers (see
-#: :class:`~repro.core.shard_workers.ShardSolverBackend`) and needs a
-#: sharded evaluator with ``shard_placement`` ``"process"``/``"socket"``.
-BACKEND_SPECS = ("serial", "process", "shard")
+BACKEND_SPECS = ("serial", "process")
 
 #: A picklable solve task: ``(store_handle, peer, strategy, alpha,
-#: method, profile_digest)``.  The digest identifies which bound profile
-#: the strategy (and the attached matrix's bytes) belong to — pure
-#: observability/debugging metadata; the solve is a function of the
-#: other fields alone.
-SolveTask = Tuple[Tuple, int, Tuple[int, ...], float, str, int]
+#: method)``.
+SolveTask = Tuple[Tuple, int, Tuple[int, ...], float, str]
 
 
 class SolverBackend:
@@ -80,11 +71,6 @@ class SolverBackend:
     #: True when solves cross process boundaries, i.e. the evaluator
     #: must expose its service matrices through a shareable store.
     distributed = False
-    #: True when the backend consumes ``make_task`` tuples but sources
-    #: the matrices itself (shard-side solves): the evaluator skips its
-    #: local service build/refresh for dispatched peers and no store
-    #: handle is attached to the tasks.
-    wants_tasks = False
 
     def run_solves(
         self,
@@ -131,7 +117,7 @@ def solve_service_tasks(tasks: Sequence[SolveTask]) -> List[BestResponseResult]:
     same pure solver the serial backend runs.
     """
     results = []
-    for handle, peer, strategy, alpha, method, _digest in tasks:
+    for handle, peer, strategy, alpha, method in tasks:
         weights = attach_service_weights(handle)
         service = ServiceCosts(
             peer, _candidates_of(peer, weights.shape[1]), weights
@@ -239,14 +225,6 @@ def resolve_backend(spec, workers: int = 1) -> SolverBackend:
         return SerialBackend()
     if spec == "process":
         return ProcessBackend(max(2, workers))
-    if spec == "shard":
-        # Deferred import: shard_workers imports this module.  The
-        # instance starts unbound; the sharded evaluator binds its live
-        # worker pool per sweep (drivers resolve backends before any
-        # evaluator exists).
-        from repro.core.shard_workers import ShardSolverBackend
-
-        return ShardSolverBackend()
     raise ValueError(
         f"unknown solver backend {spec!r}; expected one of {BACKEND_SPECS}, "
         f"None, or a SolverBackend instance"

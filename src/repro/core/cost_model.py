@@ -11,8 +11,8 @@ independent of peer ``i``'s *own* strategy ``s_i`` (it may depend on every
 other peer's strategy).  Under that contract the term is a constant in every
 argmin a solver runs for peer ``i``, so best responses, improving
 deviations, Nash sets, memo re-scores, and tie-breaking cost keys are all
-unchanged — the entire incremental solve fabric (evaluator memos, shard
-worker pools, batched gain sweeps) keeps pricing with the scalar ``alpha``
+unchanged — the entire incremental solve fabric (evaluator memos,
+solver pools, batched gain sweeps) keeps pricing with the scalar ``alpha``
 and stays *exact* for every conforming model.  Only the accounting surfaces
 (``social_cost`` / ``peer_costs`` / ``peer_cost``) consult the model.
 
@@ -30,7 +30,6 @@ same operations as with no model at all.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Optional, Tuple
 
 import numpy as np
@@ -51,9 +50,8 @@ class CostModel:
 
     Subclasses implement :meth:`per_peer_term` / :meth:`social_extra`
     honoring the externality contract in the module docstring, and
-    :meth:`spec` as a picklable pure-literal tuple — the wire/journal
-    representation that :func:`model_from_spec` round-trips and that
-    :meth:`digest` folds into evaluator memo keys.
+    :meth:`spec` as a picklable pure-literal tuple — the journal
+    representation that :func:`model_from_spec` round-trips.
     """
 
     kind: str = "abstract"
@@ -116,20 +114,10 @@ class CostModel:
                 nonzero = True
         return out if nonzero else None
 
-    # -- identity / wire representation --------------------------------
+    # -- identity / journal representation -----------------------------
     def spec(self) -> Tuple:
         """Picklable pure-literal tuple identifying this model exactly."""
         raise NotImplementedError
-
-    def digest(self) -> int:
-        """Stable 32-bit digest of :meth:`spec` (for memo/profile keys).
-
-        Derived from SHA-256 of the spec repr, not :func:`hash`, so it is
-        identical across processes and interpreter runs — shard workers
-        and the coordinator must agree on it byte for byte.
-        """
-        blob = repr(self.spec()).encode("utf-8")
-        return int.from_bytes(hashlib.sha256(blob).digest()[:4], "big")
 
     def with_alpha(self, alpha: float) -> "CostModel":
         """Same model family and parameters, different ``alpha``."""
@@ -249,9 +237,8 @@ _MODEL_KINDS = {
 def model_from_spec(spec) -> CostModel:
     """Rebuild a model from its :meth:`CostModel.spec` tuple.
 
-    The inverse used by shard workers (spec rides the ``reset`` message)
-    and ``replay_journal`` (spec recorded per journal document).  Accepts
-    lists too — JSON round-trips tuples as lists.
+    The inverse used by ``replay_journal`` (spec recorded per journal
+    document).  Accepts lists too — JSON round-trips tuples as lists.
     """
     try:
         kind = spec[0]

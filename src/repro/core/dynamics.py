@@ -389,11 +389,11 @@ class BestResponseDynamics:
     backend:
         Execution backend for the independent response solves of a
         multi-peer batch — ``"serial"`` (the default), ``"process"``,
-        ``"shard"``, or a :class:`~repro.core.backends.SolverBackend`
-        instance.  Resolved once so pools persist across rounds; the
-        process backend attaches the evaluator's shared service store
-        and never pickles a service matrix.  Results are identical for
-        every backend.
+        or a :class:`~repro.core.backends.SolverBackend` instance.
+        Resolved once so pools persist across rounds; the process
+        backend attaches the evaluator's shared service store and never
+        pickles a service matrix.  Results are identical for every
+        backend.
     shards:
         When set, the dynamics own a
         :class:`~repro.core.sharded.ShardedEvaluator` with that many
@@ -403,12 +403,11 @@ class BestResponseDynamics:
         shard count.  Mutually exclusive with ``evaluator``.
     shard_placement:
         Where that sharded evaluator's distance blocks live:
-        ``"local"`` (default), ``"process"`` — one worker process per
+        ``"local"`` (default) or ``"socket"`` — one worker process per
         shard (:mod:`repro.core.shard_workers`) serving distance rows
-        over a socketpair — or ``"socket"`` — the same, or with
-        ``shard_hosts`` the same workers behind standalone
-        :mod:`repro.shard_server` processes.  Either worker placement
-        leaves the coordinator with no resident block at all.
+        over a socketpair, or with ``shard_hosts`` the same workers
+        behind standalone :mod:`repro.shard_server` processes.  Socket
+        placement leaves the coordinator with no resident block at all.
         Trajectories are identical for every placement.  Requires
         ``shards``.
     shard_hosts:

@@ -90,12 +90,12 @@ without changing them, so every query is bit-identical across stores.
 
 How a sweep's response solves *execute* is equally pluggable
 (:mod:`repro.core.backends`): ``gain_sweep(backend=...)`` accepts
-``"serial"``/``"process"``/``"shard"`` or a
+``"serial"``/``"process"`` or a
 :class:`~repro.core.backends.SolverBackend` instance.  The process
 backend requires (and auto-migrates to) a shareable store: pool workers
-receive ``(store_handle, peer, strategy, digest)`` tasks and attach the
-store's segments directly — the matrices are never pickled, and
-in-place repairs between sweeps are visible to long-lived workers
+receive ``(store_handle, peer, strategy, alpha, method)`` tasks and
+attach the store's segments directly — the matrices are never pickled,
+and in-place repairs between sweeps are visible to long-lived workers
 through the shared mappings.  All backends run the same pure solver on
 the same bytes, so trajectories are identical for any backend and any
 pool size.
@@ -137,7 +137,7 @@ from typing import (
 
 import numpy as np
 
-from repro.core.backends import SolverBackend, resolve_backend
+from repro.core.backends import resolve_backend
 from repro.core.best_response import (
     BestResponseResult,
     ServiceCosts,
@@ -986,21 +986,17 @@ class GameEvaluator:
         (2) answers peers whose memoized response provably survived from
         the memo, and (3) dispatches only the remaining peers to the
         response solver through an execution backend
-        (:mod:`repro.core.backends`): in the calling thread (serial), a
-        process pool attached to the shared service store, or the shard
-        workers.  The per-peer solves are independent pure functions of
-        their service matrices, so results are identical for any backend
-        and pool size.
+        (:mod:`repro.core.backends`): in the calling thread (serial) or
+        a process pool attached to the shared service store.  The
+        per-peer solves are independent pure functions of their service
+        matrices, so results are identical for any backend and pool
+        size.
 
         ``backend`` accepts a :class:`~repro.core.backends.SolverBackend`
-        instance or a spec string (``"serial"``/``"process"``/
-        ``"shard"``); ``None`` solves serially.  A process backend
-        requires a shareable store — a plain in-memory store is migrated
-        to shared memory once, then workers attach it zero-copy.  The
-        shard backend ships ``(peer, strategy)`` tasks to the shard
-        workers owning the peers (sharded evaluators with process/socket
-        placement only); the workers build and cache the matrices, so
-        this evaluator skips its own refresh for dispatched peers.
+        instance or a spec string (``"serial"``/``"process"``); ``None``
+        solves serially.  A process backend requires a shareable store —
+        a plain in-memory store is migrated to shared memory once, then
+        workers attach it zero-copy.
 
         Returns results in ``peers`` order (default: all peers).  This is
         the engine behind the max-gain activation policy and multi-peer
@@ -1008,17 +1004,12 @@ class GameEvaluator:
         activations costs one blocked build plus the solves the effect
         bound could not skip.
         """
-        backend = self._resolve_solver_backend(backend)
+        backend = resolve_backend(backend)
         profile = self.profile
         peers = list(range(self._n)) if peers is None else list(peers)
         if backend.distributed:
             self._ensure_shareable_store()
-        if not backend.wants_tasks:
-            self._batch_refresh(peers)
-        # else: shard-side solves — the owning workers build, cache and
-        # repair their own service matrices, so the coordinator skips
-        # its local refresh entirely (a warm, provably-clean local memo
-        # still answers below; dirty or absent entries go to the wire).
+        self._batch_refresh(peers)
         self.stats.gain_sweeps += 1
         results: Dict[int, BestResponseResult] = {}
         to_solve: List[int] = []
@@ -1042,27 +1033,21 @@ class GameEvaluator:
             )
 
         make_task = None
-        if (backend.distributed or backend.wants_tasks) and to_solve:
-            digest = self._profile_digest()
+        if backend.distributed and to_solve:
 
             def make_task(peer: int):
-                handle = None
-                if backend.distributed:
-                    handle = self._store.handle(peer)
-                    if handle is None:  # pragma: no cover - store contract
-                        raise RuntimeError(
-                            f"store {self._store.name!r} produced no "
-                            f"handle for peer {peer}"
-                        )
-                # Task-routing backends (shard-side solves) source the
-                # matrix at the worker that owns the peer: no handle.
+                handle = self._store.handle(peer)
+                if handle is None:  # pragma: no cover - store contract
+                    raise RuntimeError(
+                        f"store {self._store.name!r} produced no "
+                        f"handle for peer {peer}"
+                    )
                 return (
                     handle,
                     peer,
                     tuple(profile.strategy(peer)),
                     alpha,
                     method,
-                    digest,
                 )
 
         solved = backend.run_solves(to_solve, solve, make_task)
@@ -1070,36 +1055,6 @@ class GameEvaluator:
             self._store_memo(peer, response)
             results[peer] = response
         return [results[peer] for peer in peers]
-
-    def _resolve_solver_backend(self, backend) -> SolverBackend:
-        """Resolve a gain-sweep backend spec for *this* evaluator.
-
-        Subclass hook: the sharded evaluator overrides it to bind the
-        ``"shard"`` backend to its live worker pool.  Here the spec is
-        rejected — a plain evaluator has no shard fabric to route solves
-        to, and silently solving locally would hide the misconfiguration.
-        """
-        resolved = resolve_backend(backend)
-        if resolved.wants_tasks:
-            raise ValueError(
-                "backend 'shard' routes solves to shard worker "
-                "processes; it needs a ShardedEvaluator with "
-                "shard_placement 'process' or 'socket'"
-            )
-        return resolved
-
-    def _profile_digest(self) -> int:
-        """Stable fingerprint of the bound profile (task metadata).
-
-        Folds in the cost-model digest so tasks (and any memo keyed on
-        the digest downstream) from differently-priced games can never
-        alias — metadata-only today, since solves are model-independent
-        by the externality contract.
-        """
-        digest = hash(self.profile.key()) & 0xFFFFFFFF
-        if self._cost_model is not None:
-            digest ^= self._cost_model.digest()
-        return digest
 
     def _ensure_shareable_store(self) -> None:
         """Migrate the service store to shared memory if it cannot hand

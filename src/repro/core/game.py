@@ -146,13 +146,11 @@ class TopologyGame:
         row-block shards — same interface and identical trajectories,
         with resident overlay-distance memory bounded to roughly
         ``1/shards``; either way the evaluator holds one service store
-        (``store`` spec).  ``placement="process"`` additionally moves
+        (``store`` spec).  ``placement="socket"`` additionally moves
         each shard's distance block into its own worker process
-        (:mod:`repro.core.shard_workers`), and ``placement="socket"``
-        hosts those workers behind :mod:`repro.shard_server` processes
-        reached over TCP/Unix sockets (``shard_hosts`` names the
-        servers; ``None`` forks the shards on this host, like
-        ``"process"``).  Both require ``shards``.
+        (:mod:`repro.core.shard_workers`): forked on this host, or
+        hosted by the :mod:`repro.shard_server` processes that
+        ``shard_hosts`` names.  ``placement`` requires ``shards``.
         """
         if shards is not None:
             from repro.core.sharded import build_sharded_evaluator

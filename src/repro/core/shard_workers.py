@@ -30,11 +30,6 @@ process:
   process serving one end of a socketpair; with ``shard_hosts`` a shard
   connects to a standalone :mod:`repro.shard_server` instead, so shards
   can leave the coordinator's host entirely.
-* Each worker also owns its *own* service-matrix store: the ``solve``
-  request routes best-response solves to the shard that owns the peer,
-  built from the worker's overlay with the same stripped-Dijkstra +
-  normalization pipeline the coordinator uses and solved in a plain
-  loop — the bytes, and therefore the responses, are identical.
 * Broadcast fan-out is **pipelined**: the pool sends a broadcast
   (``reset``/``rebind``/``sums``/``stats``) to all ``k`` transports
   before collecting any reply, so a round trip costs one worker's
@@ -51,8 +46,6 @@ request        payload                                  reply payload
 ``"rebind"``   ``(peer, targets)``                      ``None``
 ``"rows"``     global row ids owned by this shard       ``(m, n)`` array
 ``"sums"``     —                                        ``(row sums, total)``
-``"solve"``    ``((peer, strategy), ...), alpha,        response tuple
-               method``
 ``"stats"``    —                                        counter dict
 ``"ping"``     optional ``delay_s`` latency probe       ``"pong"``
 ``"stop"``     —                                        ``None`` (exits)
@@ -78,20 +71,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.backends import SolverBackend
-from repro.core.best_response import (
-    BestResponseResult,
-    ServiceCosts,
-    best_response_from_service,
-    improvement_tolerance,
-    service_cost_rows,
-    service_costs_from_overlay,
-    strategy_cost,
-)
-from repro.core.cost_model import CostModel, model_from_spec
 from repro.core.costs import stretch_from_distance_rows
 from repro.core.profile import StrategyProfile
-from repro.core.service_store import make_store
 from repro.core.sharded import ShardPlan
 from repro.core.topology import overlay_from_matrix
 from repro.graphs.digraph import WeightedDigraph
@@ -104,16 +85,15 @@ __all__ = [
     "ShardTransport",
     "RecoveryPolicy",
     "ShardWorkerPool",
-    "ShardSolverBackend",
     "PLACEMENT_SPECS",
 ]
 
 #: ``placement=`` spec strings accepted by the sharded evaluator (and
-#: therefore by the ``--shard-placement`` CLI flag).  ``"process"`` and
-#: host-less ``"socket"`` run the same code (one forked child per
-#: shard); ``"socket"`` with ``shard_hosts`` connects each shard to a
-#: running :mod:`repro.shard_server` instead.
-PLACEMENT_SPECS = ("local", "process", "socket")
+#: therefore by the ``--shard-placement`` CLI flag).  ``"socket"``
+#: without ``shard_hosts`` forks one child per shard on a socketpair;
+#: with them it connects each shard to a running
+#: :mod:`repro.shard_server` instead.
+PLACEMENT_SPECS = ("local", "socket")
 
 
 class ShardWorkerError(RuntimeError):
@@ -144,7 +124,6 @@ class _WorkerState:
         self.lo = lo
         self.hi = hi
         self.dmat = dmat
-        self.n = int(dmat.shape[0])
         self.backend = backend
         self.overlay: Optional[WeightedDigraph] = None
         self.block: Optional[np.ndarray] = None
@@ -159,25 +138,9 @@ class _WorkerState:
         self.vertices_repaired = 0
         self.full_fallbacks = 0
         self.resident_peak_bytes = 0
-        #: Cost model rebuilt from the spec riding the last ``reset``
-        #: (None for the paper's default).  Shard-side solves price with
-        #: its alpha; the per-peer term never enters a solve (it is
-        #: constant w.r.t. each peer's own strategy by contract).
-        self.model: Optional[CostModel] = None
-        # This worker's own service-matrix store for the peers it owns
-        # (built lazily — workers that never see a "solve" pay nothing).
-        self._service_store = None
-        self._services: Dict[int, "_WorkerService"] = {}
-        self.service_builds = 0
-        self.service_rows_recomputed = 0
-        self.response_solves = 0
-        self.response_memo_hits = 0
 
     # -- profile sync ---------------------------------------------------
-    def reset(
-        self, strategies: Sequence[Tuple[int, ...]], model_spec=None
-    ) -> None:
-        self.model = None if model_spec is None else model_from_spec(model_spec)
+    def reset(self, strategies: Sequence[Tuple[int, ...]]) -> None:
         profile = StrategyProfile([frozenset(s) for s in strategies])
         self.overlay = overlay_from_matrix(self.dmat, profile)
         self.block = None
@@ -186,9 +149,6 @@ class _WorkerState:
         if self.repairer is not None:
             self.repairer.reset()
         self.cursor = 0
-        self._services.clear()
-        if self._service_store is not None:
-            self._service_store.clear()
 
     def rebind(self, peer: int, targets: Tuple[int, ...]) -> None:
         overlay = self._require_overlay()
@@ -214,14 +174,6 @@ class _WorkerState:
             self.sums = None
             if self.block is not None:
                 self.dirty |= mine
-        # Service invalidation mirrors the coordinator's _rebind_single
-        # exactly: the rebound peer's own matrix stays fully valid
-        # (H_peer excludes its out-edges), every other cached matrix
-        # dirties the affected candidate rows.
-        for i, service in self._services.items():
-            if i == peer:
-                continue
-            service.dirty |= affected - {i}
 
     # -- queries --------------------------------------------------------
     def _require_overlay(self) -> WeightedDigraph:
@@ -279,126 +231,6 @@ class _WorkerState:
             self.sums = (stretch.sum(axis=1), float(stretch.sum()))
         return self.sums
 
-    # -- shard-side solves ----------------------------------------------
-    def _store(self):
-        if self._service_store is None:
-            self._service_store = make_store("memory")
-        return self._service_store
-
-    def _service(self, peer: int) -> Tuple[ServiceCosts, "_WorkerService"]:
-        """The clean service matrix of ``peer`` (built/repaired on demand).
-
-        Built from this worker's overlay with the same stripped-overlay
-        Dijkstra + :func:`normalize_service_rows` pipeline as every
-        coordinator build path, so the bytes — and any solve over them —
-        are identical to a local computation.
-        """
-        overlay = self._require_overlay()
-        service = self._services.get(peer)
-        if service is None:
-            candidates = tuple(j for j in range(self.n) if j != peer)
-            if not candidates:
-                weights = service_costs_from_overlay(
-                    self.dmat, overlay, peer, self.backend
-                ).weights
-            else:
-                stripped = overlay.copy_without_out_edges(peer)
-                weights = service_cost_rows(
-                    self.dmat, stripped, peer, candidates, self.backend
-                )
-            self._store().put(peer, weights)
-            service = _WorkerService(candidates=candidates)
-            self._services[peer] = service
-            self.service_builds += 1
-        elif service.dirty:
-            self._repair_service(peer, service)
-        return (
-            ServiceCosts(peer, service.candidates, self._store().get(peer)),
-            service,
-        )
-
-    def _repair_service(self, peer: int, service: "_WorkerService") -> None:
-        row_of = {c: k for k, c in enumerate(service.candidates)}
-        sources = sorted(c for c in service.dirty if c in row_of)
-        service.dirty = set()
-        if not sources:
-            return
-        overlay = self._require_overlay()
-        stripped = overlay.copy_without_out_edges(peer)
-        fresh = service_cost_rows(
-            self.dmat, stripped, peer, sources, self.backend
-        )
-        rows = [row_of[c] for c in sources]
-        store = self._store()
-        old = store.get(peer)[rows]
-        store.write_rows(peer, rows, fresh)
-        self.service_rows_recomputed += len(rows)
-        if not np.array_equal(old, fresh):
-            # The memo's sound-reuse condition is "matrix bit-identical
-            # to memo time"; a repair that changed bytes voids it.
-            service.memo = None
-
-    def solve(
-        self, items: Sequence[Tuple[int, Tuple[int, ...]]], alpha, method: str
-    ) -> Tuple:
-        """Best responses for owned peers, solved against local matrices.
-
-        Memoized like the coordinator's unchanged-matrix reuse path: a
-        stored response survives exactly while the peer's matrix stays
-        bit-identical, and is re-scored against the peer's *current*
-        strategy with the shared tolerance/tie-breaking — so a memo hit
-        returns the same result a fresh solve would.
-        """
-        # Price with the reset-time cost model when one rode the wire;
-        # resolve_cost_model pins model.alpha == game.alpha, so this is
-        # the same scalar the task carries — made explicit here so the
-        # worker's pricing source is the model, not the task metadata.
-        alpha = float(alpha) if self.model is None else self.model.alpha
-        peers = [int(peer) for peer, _ in items]
-        strategies = {int(peer): tuple(s) for peer, s in items}
-        services = {peer: self._service(peer) for peer in peers}
-        results: Dict[int, BestResponseResult] = {}
-        to_solve: List[int] = []
-        for peer in peers:
-            view, service = services[peer]
-            memo = service.memo
-            if (
-                memo is not None
-                and memo[0] == method
-                and service.candidates
-            ):
-                current = sorted(strategies[peer])
-                current_cost = strategy_cost(view, current, alpha)
-                opt_cost = memo[2]
-                self.response_memo_hits += 1
-                if opt_cost < current_cost - improvement_tolerance(
-                    current_cost
-                ):
-                    results[peer] = BestResponseResult(
-                        peer, memo[1], opt_cost, current_cost, True, method
-                    )
-                else:
-                    results[peer] = BestResponseResult(
-                        peer,
-                        frozenset(current),
-                        current_cost,
-                        current_cost,
-                        False,
-                        method,
-                    )
-            else:
-                to_solve.append(peer)
-
-        self.response_solves += len(to_solve)
-        for peer in to_solve:
-            view, service = services[peer]
-            response = best_response_from_service(
-                view, strategies[peer], alpha, method
-            )
-            service.memo = (method, response.strategy, response.cost)
-            results[peer] = response
-        return tuple(results[peer] for peer in peers)
-
     def stats(self) -> Dict[str, int]:
         return {
             "shard_rows": self.hi - self.lo,
@@ -408,29 +240,7 @@ class _WorkerState:
             "full_fallbacks": self.full_fallbacks,
             "resident_bytes": 0 if self.block is None else self.block.nbytes,
             "resident_peak_bytes": self.resident_peak_bytes,
-            "service_builds": self.service_builds,
-            "service_rows_recomputed": self.service_rows_recomputed,
-            "service_resident_bytes": (
-                0
-                if self._service_store is None
-                else self._service_store.resident_bytes()
-            ),
-            "response_solves": self.response_solves,
-            "response_memo_hits": self.response_memo_hits,
         }
-
-
-class _WorkerService:
-    """Cache bookkeeping for one owned peer's service matrix."""
-
-    __slots__ = ("candidates", "dirty", "memo")
-
-    def __init__(self, candidates: Tuple[int, ...]):
-        self.candidates = candidates
-        self.dirty: set = set()
-        #: ``(method, strategy, cost)`` of the last solve, valid while
-        #: the matrix stays bit-identical (cleared on changed repairs).
-        self.memo: Optional[Tuple[str, frozenset, float]] = None
 
 
 def serve_request(state: _WorkerState, message: Tuple) -> Tuple[Tuple, bool]:
@@ -447,17 +257,13 @@ def serve_request(state: _WorkerState, message: Tuple) -> Tuple[Tuple, bool]:
         if kind == "stop":
             return ("ok", None), True
         if kind == "reset":
-            # 2-tuple (legacy) or 3-tuple with a cost-model spec.
-            spec = message[2] if len(message) > 2 else None
-            reply = state.reset(message[1], spec)
+            reply = state.reset(message[1])
         elif kind == "rebind":
             reply = state.rebind(message[1], message[2])
         elif kind == "rows":
             reply = state.rows(message[1])
         elif kind == "sums":
             reply = state.stretch_sums()
-        elif kind == "solve":
-            reply = state.solve(message[1], message[2], message[3])
         elif kind == "stats":
             reply = state.stats()
         elif kind == "ping":
@@ -561,7 +367,7 @@ def _coerce_recovery(recovery) -> Optional[RecoveryPolicy]:
 class ShardWorkerPool:
     """One long-lived worker per shard, serving the distance row blocks.
 
-    The pool is the coordinator-side face of process placement: it
+    The pool is the coordinator-side face of worker placement: it
     routes :meth:`rows` requests to the owning shards (assembling the
     reply in ``peers`` order, exactly like
     :meth:`~repro.core.sharded.ShardedDistances.rows`), broadcasts
@@ -611,9 +417,7 @@ class ShardWorkerPool:
         #: rebuild any worker from scratch: the reset strategies plus
         #: every rebind since, in order.  Updated *before* the broadcast
         #: so an in-flight mutation is already part of the replay.
-        #: ``(strategies, model_spec)`` of the last reset, mirrored for
-        #: respawn replay.
-        self._last_reset: Optional[Tuple[Tuple, Optional[Tuple]]] = None
+        self._last_reset: Optional[Tuple[Tuple[int, ...], ...]] = None
         self._rebinds: List[Tuple[int, Tuple[int, ...]]] = []
         #: One dict per successful recovery: ``{"shard", "reason",
         #: "seconds", "replayed"}`` in occurrence order.
@@ -671,20 +475,15 @@ class ShardWorkerPool:
         self._transports[shard].kill()
 
     # -- profile sync ---------------------------------------------------
-    def reset(self, profile: StrategyProfile, model_spec=None) -> None:
-        """Rebuild every worker's overlay from scratch (full rebind).
-
-        ``model_spec`` is the coordinator's cost-model spec tuple (or
-        ``None`` for the paper's default); it is mirrored with the
-        strategies so a respawned worker replays into the same pricing.
-        """
+    def reset(self, profile: StrategyProfile) -> None:
+        """Rebuild every worker's overlay from scratch (full rebind)."""
         strategies = tuple(
             tuple(sorted(profile.strategy(peer)))
             for peer in range(profile.n)
         )
-        self._last_reset = (strategies, model_spec)
+        self._last_reset = strategies
         self._rebinds = []
-        self._broadcast(("reset", strategies, model_spec))
+        self._broadcast(("reset", strategies))
 
     def rebind(self, peer: int, targets) -> None:
         """Splice one peer's new out-edges into every worker's overlay."""
@@ -726,8 +525,7 @@ class ShardWorkerPool:
         )
         try:
             if self._last_reset is not None:
-                strategies, model_spec = self._last_reset
-                fresh.request(("reset", strategies, model_spec))
+                fresh.request(("reset", self._last_reset))
                 for peer, targets in self._rebinds:
                     fresh.request(("rebind", peer, targets))
         except ShardWorkerError:
@@ -866,46 +664,6 @@ class ShardWorkerPool:
         replies = self._exchange([(shard, ("sums",)) for shard in shards])
         return dict(zip(shards, replies))
 
-    def solve(
-        self,
-        items: Sequence[Tuple[int, Tuple[int, ...]]],
-        alpha: float,
-        method: str,
-    ) -> List[BestResponseResult]:
-        """Best responses for ``items``, solved by each peer's owner shard.
-
-        ``items`` holds ``(peer, current_strategy)`` pairs; results come
-        back in ``items`` order.  Only strategies and responses cross
-        the wire — each worker builds and caches the service matrices of
-        the peers it owns (see :meth:`_WorkerState.solve`).
-        """
-        items = [(int(peer), tuple(strategy)) for peer, strategy in items]
-        by_shard: Dict[int, List[int]] = {}
-        for position, (peer, _strategy) in enumerate(items):
-            if not 0 <= peer < self._n:
-                raise IndexError(f"peer {peer} out of range [0, {self._n})")
-            by_shard.setdefault(self._plan.owner(peer), []).append(position)
-        shards = sorted(by_shard)
-        replies = self._exchange(
-            [
-                (
-                    shard,
-                    (
-                        "solve",
-                        tuple(items[position] for position in by_shard[shard]),
-                        float(alpha),
-                        method,
-                    ),
-                )
-                for shard in shards
-            ]
-        )
-        out: List[Optional[BestResponseResult]] = [None] * len(items)
-        for shard, solved in zip(shards, replies):
-            for row, position in enumerate(by_shard[shard]):
-                out[position] = solved[row]
-        return out
-
     def worker_stats(self) -> List[Dict[str, int]]:
         """Per-worker counters (builds, repairs, resident block bytes)."""
         return self._broadcast(("stats",))
@@ -914,66 +672,4 @@ class ShardWorkerPool:
         return (
             f"ShardWorkerPool(k={self._plan.k}, n={self._n}, "
             f"closed={self.closed})"
-        )
-
-
-# ----------------------------------------------------------------------
-# Shard-side solver backend
-# ----------------------------------------------------------------------
-class ShardSolverBackend(SolverBackend):
-    """Route gain-sweep solves to the shard workers that own the peers.
-
-    The ``backend="shard"`` spec: instead of building every service
-    matrix in the coordinator and shipping store handles to a solver
-    pool, the sweep ships each peer's ``(peer, strategy)`` task to the
-    worker that owns the peer's row block; the worker builds, caches and
-    row-repairs that peer's matrix locally and solves it in a plain loop.
-    The coordinator then holds *no* service matrices
-    for swept peers at all — solves co-locate with the shard fabric.
-
-    Resolution is two-phase because drivers resolve backends at
-    construction time, before any evaluator exists: the instance starts
-    unbound, and the sharded evaluator binds its live worker pool on
-    each sweep (:meth:`~repro.core.sharded.ShardedEvaluator.
-    _resolve_solver_backend`).  Plain evaluators reject the spec with a
-    clear error instead of silently solving locally.
-    """
-
-    name = "shard"
-    distributed = False
-    wants_tasks = True
-
-    def __init__(self) -> None:
-        self._pool: Optional[ShardWorkerPool] = None
-
-    @property
-    def pool(self) -> Optional[ShardWorkerPool]:
-        return self._pool
-
-    def bind_pool(self, pool: ShardWorkerPool) -> None:
-        """Point the backend at the evaluator's live worker pool."""
-        self._pool = pool
-
-    def run_solves(
-        self,
-        peers: Sequence[int],
-        solve_local,
-        make_task=None,
-    ) -> List[BestResponseResult]:
-        if not peers:
-            return []
-        if make_task is None:
-            # No task channel (e.g. a direct best_response call): solve
-            # locally — same pure function, same bytes, same results.
-            return [solve_local(peer) for peer in peers]
-        if self._pool is None or self._pool.closed:
-            raise ShardWorkerError(
-                "shard solver backend has no live worker pool; use a "
-                "ShardedEvaluator with shard_placement 'process' or "
-                "'socket'"
-            )
-        tasks = [make_task(peer) for peer in peers]
-        alpha, method = tasks[0][3], tasks[0][4]
-        return self._pool.solve(
-            [(task[1], task[2]) for task in tasks], alpha, method
         )

@@ -17,7 +17,7 @@ distance matrix.  This module shards that matrix:
   requested rows from their owning shards.
 * :class:`ShardedEvaluator` is a drop-in
   :class:`~repro.core.evaluator.GameEvaluator` facade over those blocks
-  — and, with ``placement="process"`` or ``"socket"``, places each
+  — and, with ``placement="socket"``, places each
   shard's distance block in its own worker process
   (:mod:`repro.core.shard_workers`) so the coordinator holds no block
   at all.  Strategic queries (``service_costs``, ``best_response``,
@@ -330,16 +330,15 @@ class ShardedEvaluator(GameEvaluator):
     placement:
         Where the distance row blocks live: ``"local"`` (default — in
         this process, one block resident at a time, so peak resident
-        distance bytes stay near ``n^2/k * 8``),
-        ``"process"`` — one long-lived worker process per shard
+        distance bytes stay near ``n^2/k * 8``) or ``"socket"`` — one
+        long-lived worker per shard
         (:class:`~repro.core.shard_workers.ShardWorkerPool`) serving
         ``distance_rows`` and O(n/k) stretch reductions over a narrow
         request/reply transport, so the coordinator process holds *no*
-        distance blocks at all — or ``"socket"``, which without
-        ``shard_hosts`` is the same thing (one forked child per shard
-        behind a :class:`~repro.core.transport.SocketTransport`) and
-        with them connects each shard to a standalone
-        :mod:`repro.shard_server` instead.
+        distance blocks at all.  Without ``shard_hosts`` each worker is
+        a child forked per shard behind a
+        :class:`~repro.core.transport.SocketTransport`; with them each
+        shard connects to a standalone :mod:`repro.shard_server`.
         Strategic queries are identical in every placement (they never
         touch the distance layer); cost queries stream the same
         per-shard reductions, computed from the same bytes.
@@ -351,7 +350,7 @@ class ShardedEvaluator(GameEvaluator):
     dynamic_repair:
         Inherited switch (see :class:`~repro.core.evaluator.
         GameEvaluator`): when True the resident row blocks — local ones
-        here, per-worker ones under process placement — are patched in
+        here, per-worker ones under socket placement — are patched in
         place by the incremental updater instead of re-solved.
 
     Everything else — the caching/invalidation contract, the gain-sweep
@@ -384,10 +383,10 @@ class ShardedEvaluator(GameEvaluator):
 
         check_shard_options(shards, placement, shard_hosts)
         if fault_plan is not None and not fault_plan.is_null:
-            if placement not in ("process", "socket"):
+            if placement != "socket":
                 raise ValueError(
-                    "fault_plan requires a worker placement ('process' or "
-                    "'socket'); local placement has no transports to fault"
+                    "fault_plan requires shard_placement 'socket'; local "
+                    "placement has no transports to fault"
                 )
         plan = ShardPlan.build(game.n, shards)
         self._plan = plan
@@ -405,7 +404,7 @@ class ShardedEvaluator(GameEvaluator):
             store=store,
             dynamic_repair=dynamic_repair,
         )
-        if placement in ("process", "socket"):
+        if placement == "socket":
             from repro.core.shard_workers import ShardWorkerPool
             from repro.core.transport import (
                 SocketTransport,
@@ -451,7 +450,7 @@ class ShardedEvaluator(GameEvaluator):
 
     @property
     def placement(self) -> str:
-        """Where the blocks live: ``"local"``/``"process"``/``"socket"``."""
+        """Where the blocks live: ``"local"`` or ``"socket"``."""
         return self._placement
 
     @property
@@ -459,32 +458,10 @@ class ShardedEvaluator(GameEvaluator):
         """The shard worker pool (``None`` under local placement)."""
         return self._worker_pool
 
-    def _resolve_solver_backend(self, backend):
-        """Bind the ``"shard"`` backend spec to this evaluator's pool.
-
-        Drivers resolve backends at construction time, before any
-        evaluator (or worker pool) exists, so a
-        :class:`~repro.core.shard_workers.ShardSolverBackend` arrives
-        unbound; binding per sweep also keeps it correct across the
-        per-epoch evaluators churn builds.
-        """
-        from repro.core.backends import resolve_backend
-
-        resolved = resolve_backend(backend)
-        if getattr(resolved, "wants_tasks", False):
-            if self._worker_pool is None:
-                raise ValueError(
-                    "backend 'shard' routes solves to shard workers; "
-                    "build the evaluator with shard_placement 'process' "
-                    "or 'socket'"
-                )
-            resolved.bind_pool(self._worker_pool)
-        return resolved
-
     def shard_worker_stats(self) -> Optional[List[Dict[str, int]]]:
         """Per-worker distance counters, or ``None`` under local placement.
 
-        The process-placement counterpart of the ``distance_*`` fields
+        The socket-placement counterpart of the ``distance_*`` fields
         of :class:`~repro.core.evaluator.EvaluatorStats` (which stay 0
         on this evaluator's coordinator side — no block is ever resident
         here): one dict per shard worker with ``block_builds``,
@@ -503,14 +480,7 @@ class ShardedEvaluator(GameEvaluator):
         if self._shard_dist is not None:
             self._shard_dist.reset()
         if self._worker_pool is not None:
-            # The model spec rides the reset broadcast so shard-side
-            # solves price with the coordinator's cost model (the
-            # respawn replay re-sends it; the socket init handshake is
-            # untouched).
-            model = self._cost_model
-            self._worker_pool.reset(
-                profile, None if model is None else model.spec()
-            )
+            self._worker_pool.reset(profile)
         self._shard_sums = [None] * self._plan.k
 
     def _rebind_single(self, peer: int, profile: StrategyProfile) -> None:

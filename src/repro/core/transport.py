@@ -18,8 +18,8 @@ speaks it over one byte stream with one codec:
 * :func:`serve_connection` is the one worker loop.  An ``("init", lo,
   hi, dmat, options)`` handshake builds the shard's worker state, then
   the stream serves the ``reset`` / ``rebind`` / ``rows`` / ``sums`` /
-  ``solve`` / ``stats`` / ``ping`` / ``stop`` protocol until ``stop`` or
-  EOF.  A :mod:`repro.shard_server` runs it on one thread per accepted
+  ``stats`` / ``ping`` / ``stop`` protocol until ``stop`` or EOF.  A
+  :mod:`repro.shard_server` runs it on one thread per accepted
   connection; a same-host shard runs it in its own forked child.
 * :class:`SocketTransport` is the coordinator's end of the stream.
   :meth:`SocketTransport.forked` places a shard on this host: one child

@@ -59,19 +59,18 @@ def run(
     """Convergence statistics on random instances vs the witness.
 
     ``workers``/``backend`` configure the execution of the batched
-    scheduler's concurrent response solves (``"serial"``, ``"process"``
-    with a ``workers``-sized pool, or ``"shard"``; no effect on
-    singleton schedulers).  Results are identical for every backend —
-    with ``"batched"`` among the default schedulers, this experiment is
-    the CLI's smoke-test surface for ``--backend process``.  ``shards``
+    scheduler's concurrent response solves (``"serial"``, or
+    ``"process"`` with a ``workers``-sized pool; no effect on singleton
+    schedulers).  Results are identical for every backend — with
+    ``"batched"`` among the default schedulers, this experiment is the
+    CLI's smoke-test surface for ``--backend process``.  ``shards``
     runs every dynamics pass on a
     :class:`~repro.core.sharded.ShardedEvaluator` with that many
-    row-block shards; ``shard_placement="process"`` additionally moves
-    each shard's distance block into its own worker process,
-    ``shard_placement="socket"`` hosts those workers behind
-    :mod:`repro.shard_server` processes (``shard_hosts`` names the
-    servers; ``None`` forks the shards on this host) — identical
-    results; the CLI's ``--shards`` / ``--shard-placement`` /
+    row-block shards; ``shard_placement="socket"`` additionally moves
+    each shard's distance block into its own worker process, forked on
+    this host (``shard_hosts=None``) or hosted by the
+    :mod:`repro.shard_server` processes ``shard_hosts`` names —
+    identical results; the CLI's ``--shards`` / ``--shard-placement`` /
     ``--shard-hosts`` smoke surface.
     """
     from repro.core.backends import resolve_backend

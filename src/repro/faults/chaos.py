@@ -154,7 +154,6 @@ def worker_kill_drill(
     sweeps: int = 3,
     kills: int = 2,
     method: str = "greedy",
-    placement: str = "process",
 ) -> ChaosReport:
     """Kill shard workers between sweeps; the pool must resurrect them.
 
@@ -172,7 +171,7 @@ def worker_kill_drill(
     fds_before = _open_fds()
     procs_before = _live_children()
     evaluator = build_sharded_evaluator(
-        game, profile, shards=shards, placement=placement, recovery=True
+        game, profile, shards=shards, placement="socket", recovery=True
     )
     notes: List[str] = []
     killed = 0
@@ -192,7 +191,7 @@ def worker_kill_drill(
     time.sleep(0.05)  # let killed children finish reaping
 
     return ChaosReport(
-        name=f"worker-kill[{placement}]",
+        name="worker-kill[socket]",
         epochs=sweeps,
         kills=killed,
         recoveries=len(events),
@@ -306,7 +305,7 @@ def service_chaos_drill(
         method=method,
         journal=journal,
         shards=shards,
-        shard_placement="process",
+        shard_placement="socket",
         fault_plan=plan,
         recovery=max(4, shards * epochs),
     ) as state:

@@ -181,13 +181,12 @@ class ServiceState:
         #: ``None`` keeps the honest code path byte-identical.
         self._peer_policy = peer_policy
         #: Transport fault schedule + worker recovery policy, threaded
-        #: into every epoch's sharded evaluator (worker placements only).
+        #: into every epoch's sharded evaluator (socket placement only).
         if fault_plan is not None and not fault_plan.is_null:
-            if shard_placement not in ("process", "socket"):
+            if shard_placement != "socket":
                 raise ValueError(
-                    "fault_plan requires shard_placement 'process' or "
-                    "'socket' (local evaluators have no transports to "
-                    "fault)"
+                    "fault_plan requires shard_placement 'socket' (local "
+                    "evaluators have no transports to fault)"
                 )
         self._fault_plan = fault_plan
         self._recovery = recovery

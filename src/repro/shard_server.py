@@ -7,10 +7,10 @@ accepted connection is one shard, served on its own thread by
 :func:`repro.core.transport.serve_connection` — the same loop a forked
 same-host shard runs: an ``("init", lo, hi, dmat, options)`` frame
 builds the shard's :class:`~repro.core.shard_workers._WorkerState`
-(distance row block, dynamic-SSSP repairer and service store), then the
-connection serves the standard ``reset`` / ``rebind`` / ``rows`` /
-``sums`` / ``solve`` / ``stats`` / ``ping`` / ``stop`` protocol until
-the client stops or disconnects.  Several shards may share one server
+(distance row block and dynamic-SSSP repairer), then the connection
+serves the standard ``reset`` / ``rebind`` / ``rows`` / ``sums`` /
+``stats`` / ``ping`` / ``stop`` protocol until the client stops or
+disconnects.  Several shards may share one server
 (:class:`~repro.core.transport.SocketTransportFactory` round-robins
 them); each connection's state is private, so co-hosted shards cannot
 interfere.

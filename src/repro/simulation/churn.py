@@ -101,10 +101,10 @@ class ChurnSimulation:
     workers / backend:
         Execution of the batched epoch's independent solves —
         ``"serial"`` (the default), ``"process"`` sized by ``workers``,
-        ``"shard"``, or a :class:`~repro.core.backends.SolverBackend`
-        instance (resolved once, so a process pool persists across
-        epochs).  Epoch trajectories are identical for every backend;
-        sequential activation ignores both.
+        or a :class:`~repro.core.backends.SolverBackend` instance
+        (resolved once, so a process pool persists across epochs).
+        Epoch trajectories are identical for every backend; sequential
+        activation ignores both.
     shards:
         When set, each epoch's evaluator is a
         :class:`~repro.core.sharded.ShardedEvaluator` over the epoch's
@@ -112,12 +112,12 @@ class ChurnSimulation:
         epoch's population, so small epochs still work).  Epoch
         trajectories are identical for every shard count.
     shard_placement:
-        ``"local"`` (default), ``"process"`` — each epoch's sharded
+        ``"local"`` (default) or ``"socket"`` — each epoch's sharded
         evaluator places its distance blocks in per-shard worker
         processes (:mod:`repro.core.shard_workers`), torn down at the
-        end of the epoch — or ``"socket"`` — the same workers, behind
-        :mod:`repro.shard_server` processes reached over TCP/Unix
-        sockets when ``shard_hosts`` is given.  Identical trajectories;
+        end of the epoch: forked on this host or, when ``shard_hosts``
+        is given, behind :mod:`repro.shard_server` processes reached
+        over TCP/Unix sockets.  Identical trajectories;
         requires ``shards``.
     shard_hosts:
         Socket placement only: shard-server addresses
@@ -329,7 +329,7 @@ class ChurnSimulation:
         finally:
             # The evaluator lives for exactly one epoch (the active set
             # changes afterwards): release its stores — and, under
-            # process placement, its shard workers — deterministically
+            # socket placement, its shard workers — deterministically
             # instead of leaning on garbage collection.
             if evaluator is not None:
                 evaluator.close()

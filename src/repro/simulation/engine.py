@@ -112,7 +112,7 @@ class SimulationEngine:
     backend:
         Execution backend for the independent response solves of a
         gain sweep (max-gain policy and multi-peer batches) —
-        ``"serial"`` (the default), ``"process"``, ``"shard"``, or a
+        ``"serial"`` (the default), ``"process"``, or a
         :class:`~repro.core.backends.SolverBackend` instance.  Resolved
         once per engine so pools persist across rounds; the process
         backend solves against the evaluator's shared-memory service
@@ -125,11 +125,11 @@ class SimulationEngine:
         Trajectories are identical for every shard count.  Mutually
         exclusive with ``evaluator``.
     shard_placement:
-        ``"local"`` (default), ``"process"`` — place the sharded
+        ``"local"`` (default) or ``"socket"`` — place the sharded
         evaluator's distance blocks in one worker process per shard
-        (:mod:`repro.core.shard_workers`) — or ``"socket"`` — the same
-        workers, behind :mod:`repro.shard_server` processes reached over
-        TCP/Unix sockets when ``shard_hosts`` is given.
+        (:mod:`repro.core.shard_workers`), forked on this host or, when
+        ``shard_hosts`` is given, behind :mod:`repro.shard_server`
+        processes reached over TCP/Unix sockets.
         Identical trajectories; requires ``shards``.
     shard_hosts:
         Socket placement only: shard-server addresses

@@ -43,7 +43,7 @@ def process_pool():
 class TestResolveBackend:
     def test_workers_without_process_spec_raises(self):
         assert isinstance(resolve_backend(None, 1), SerialBackend)
-        for spec in (None, "serial", "shard", SerialBackend()):
+        for spec in (None, "serial", SerialBackend()):
             with pytest.raises(ValueError, match="backend='process'"):
                 resolve_backend(spec, 4)
 
@@ -64,9 +64,17 @@ class TestResolveBackend:
             with pytest.raises(ValueError, match="unknown solver backend"):
                 resolve_backend(spec)
 
+    def test_removed_shard_spec_raises(self):
+        # Solves run in the coordinator or its process pool; shard
+        # workers serve distance rows only.
+        with pytest.raises(
+            ValueError, match=r"expected one of \('serial', 'process'\)"
+        ):
+            resolve_backend("shard")
+
     def test_spec_names_are_stable(self):
         # The CLI exposes exactly these.
-        assert BACKEND_SPECS == ("serial", "process", "shard")
+        assert BACKEND_SPECS == ("serial", "process")
         for spec in BACKEND_SPECS:
             assert resolve_backend(spec).name == spec
 

@@ -57,14 +57,6 @@ class TestSpecDigestRoundTrip:
             # JSON round-trips tuples as lists; both must be accepted.
             assert model_from_spec(list(model.spec())) == model
 
-    def test_digest_is_stable_and_spec_derived(self):
-        a = CongestionModel(1.0, 0.5)
-        b = CongestionModel(1.0, 0.5)
-        assert a.digest() == b.digest()
-        assert a.digest() != CongestionModel(1.0, 0.25).digest()
-        assert a.digest() != UnilateralModel(1.0).digest()
-        assert 0 <= a.digest() < 2**32
-
     def test_unknown_and_malformed_specs_rejected(self):
         with pytest.raises(ValueError, match="unknown cost-model spec"):
             model_from_spec(("frictional", 1.0))
@@ -199,11 +191,14 @@ class TestUnilateralNeutrality:
         reference = BestResponseDynamics(_random_game(13, n=8)).run(
             max_rounds=40
         )
-        result = BestResponseDynamics(
+        # The context manager reaps the two forked shards here instead
+        # of leaving them to garbage collection.
+        with BestResponseDynamics(
             _random_game(13, n=8, cost_model=UnilateralModel(1.5)),
             shards=2,
-            shard_placement="process",
-        ).run(max_rounds=40)
+            shard_placement="socket",
+        ) as dynamics:
+            result = dynamics.run(max_rounds=40)
         assert result.profile.key() == reference.profile.key()
         assert result.num_moves == reference.num_moves
 
@@ -284,24 +279,6 @@ class TestCongestionInvariance:
 
 
 class TestEvaluatorDigest:
-    def test_profile_digest_incorporates_model(self):
-        game = _random_game(19, n=6)
-        modeled = _random_game(
-            19, n=6, cost_model=CongestionModel(1.5, 1.0)
-        )
-        profile = game.random_profile(0.4, seed=1)
-        plain_digest = game.evaluator.set_profile(profile)._profile_digest()
-        model_digest = modeled.evaluator.set_profile(
-            profile
-        )._profile_digest()
-        assert plain_digest != model_digest
-        # Same spec -> same digest (cross-instance stability).
-        again = _random_game(19, n=6, cost_model=CongestionModel(1.5, 1.0))
-        assert (
-            again.evaluator.set_profile(profile)._profile_digest()
-            == model_digest
-        )
-
     def test_with_alpha_carries_model_family(self):
         game = _random_game(23, n=5, cost_model=CongestionModel(1.5, 0.5))
         rescaled = game.with_alpha(3.0)

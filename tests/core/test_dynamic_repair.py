@@ -122,7 +122,7 @@ class TestDynamicVsScratch:
         with GameEvaluator(game, _start_profile(), dynamic_repair=False) as (
             reference
         ), ShardedEvaluator(
-            game, _start_profile(), shards=shards, placement="process"
+            game, _start_profile(), shards=shards, placement="socket"
         ) as sharded:
             _assert_trajectory_identical(reference, sharded, steps)
             stats = sharded.shard_worker_stats()

@@ -55,7 +55,7 @@ def _segment_names(store) -> set:
 EVALUATOR_CONFIGS = [
     ("unsharded", None, None),
     ("sharded-local", 2, "local"),
-    ("sharded-process", 2, "process"),
+    ("sharded-socket", 2, "socket"),
 ]
 STORE_SPECS = ["memory", "shared"]
 
@@ -139,7 +139,7 @@ class TestFinalizerSafetyNets:
         game = _game()
         evaluator = ShardedEvaluator(
             game, game.random_profile(0.4, seed=1),
-            shards=2, placement="process", store="shared",
+            shards=2, placement="socket", store="shared",
         )
         evaluator.peer_costs()
         segments = _segment_names(evaluator.store)
@@ -193,7 +193,7 @@ class TestContextManagers:
             method="greedy",
             activation="max-gain",
             shards=2,
-            shard_placement="process",
+            shard_placement="socket",
         ) as engine:
             engine.run(max_rounds=4)
             pool = engine.evaluator.worker_pool
@@ -203,7 +203,7 @@ class TestContextManagers:
     def test_dynamics_context_closes_owned_backend_and_evaluator(self):
         game = _game(n=10)
         with BestResponseDynamics(
-            game, shards=2, shard_placement="process"
+            game, shards=2, shard_placement="socket"
         ) as dynamics:
             dynamics.run(max_rounds=5)
             pool = dynamics._owned_evaluator.worker_pool

@@ -1,7 +1,7 @@
 """Shard worker processes: cross-process distance rows, identical results.
 
 The contract under test: placing a sharded evaluator's distance row
-blocks in per-shard worker processes (``placement="process"``) changes
+blocks in per-shard worker processes (``placement="socket"``) changes
 *where* the rows are computed, never their bytes — strategic queries are
 untouched (they never enter the distance layer) and cost queries stream
 the same per-shard reductions.  Trajectories must therefore be identical
@@ -11,10 +11,8 @@ blocks; and the worker lifecycle must be leak-proof (daemonic processes,
 finalizer safety net, idempotent close).
 """
 
-import glob
 import multiprocessing
 import os
-import tempfile
 import threading
 
 import numpy as np
@@ -33,7 +31,6 @@ from repro.core.sharded import (
 )
 from repro.core.shard_workers import (
     PLACEMENT_SPECS,
-    ShardSolverBackend,
     ShardWorkerError,
     ShardWorkerPool,
 )
@@ -171,7 +168,7 @@ class TestPlacementIdentity:
         expected_dist = reference.overlay_distances()
         expected_costs = reference.peer_costs()
         with ShardedEvaluator(
-            game, profile, shards=2, placement="process"
+            game, profile, shards=2, placement="socket"
         ) as evaluator:
             np.testing.assert_array_equal(
                 evaluator.overlay_distances(), expected_dist
@@ -188,7 +185,7 @@ class TestPlacementIdentity:
         for shards in SHARD_COUNTS:
             local = ShardedEvaluator(game, profile, shards=shards)
             with ShardedEvaluator(
-                game, profile, shards=shards, placement="process"
+                game, profile, shards=shards, placement="socket"
             ) as remote:
                 assert remote.social_cost() == local.social_cost()
             local.close()
@@ -198,7 +195,7 @@ class TestPlacementIdentity:
         profile = game.random_profile(0.3, seed=6)
         reference = GameEvaluator(game, profile)
         with ShardedEvaluator(
-            game, profile, shards=4, placement="process"
+            game, profile, shards=4, placement="socket"
         ) as evaluator:
             current = profile
             moves = [
@@ -222,7 +219,7 @@ class TestPlacementIdentity:
         game = _random_game(10, n=24)
         profile = game.random_profile(0.3, seed=7)
         with ShardedEvaluator(
-            game, profile, shards=4, placement="process"
+            game, profile, shards=4, placement="socket"
         ) as evaluator:
             evaluator.peer_costs()
             evaluator.social_cost()
@@ -237,13 +234,20 @@ class TestPlacementIdentity:
 
     def test_placement_validation(self):
         game = _random_game(11, n=6)
-        assert PLACEMENT_SPECS == ("local", "process", "socket")
+        assert PLACEMENT_SPECS == ("local", "socket")
         with pytest.raises(ValueError, match="placement"):
             ShardedEvaluator(game, shards=2, placement="cloud")
         with pytest.raises(ValueError, match="shard_hosts"):
             ShardedEvaluator(
-                game, shards=2, placement="process", shard_hosts=("h:1",)
+                game, shards=2, placement="local", shard_hosts=("h:1",)
             )
+
+    def test_process_placement_spelling_rejected(self):
+        game = _random_game(11, n=6)
+        with pytest.raises(
+            ValueError, match=r"expected one of \('local', 'socket'\)"
+        ):
+            ShardedEvaluator(game, shards=2, placement="process")
 
     def test_local_placement_has_no_pool(self):
         game = _random_game(11, n=6)
@@ -262,7 +266,7 @@ class TestTrajectoryIdentity:
             with BestResponseDynamics(
                 TopologyGame(game.metric, game.alpha),
                 shards=shards,
-                shard_placement="process",
+                shard_placement="socket",
             ) as dynamics:
                 result = dynamics.run(max_rounds=80)
             assert result.profile.key() == reference.profile.key()
@@ -283,7 +287,7 @@ class TestTrajectoryIdentity:
             TopologyGame(game.metric, game.alpha),
             store=store,
             shards=4,
-            placement="process",
+            placement="socket",
         )
         try:
             report = SimulationEngine(
@@ -311,7 +315,7 @@ class TestTrajectoryIdentity:
         evaluator = ShardedEvaluator(
             TopologyGame(game.metric, game.alpha),
             shards=3,
-            placement="process",
+            placement="socket",
         )
         try:
             report = SimulationEngine(
@@ -340,7 +344,7 @@ class TestTrajectoryIdentity:
             seed=13,
             activation=activation,
             shards=3,
-            shard_placement="process",
+            shard_placement="socket",
         ) as sharded:
             result = sharded.run(epochs=6)
         assert result.final_profile.key() == reference.final_profile.key()
@@ -361,7 +365,7 @@ class TestTrajectoryIdentity:
             TopologyGame(game.metric, game.alpha),
             scheduler=BatchedScheduler(),
             shards=2,
-            shard_placement="process",
+            shard_placement="socket",
         ) as dynamics:
             result = dynamics.run(max_rounds=40)
         assert result.profile.key() == reference.profile.key()
@@ -373,13 +377,13 @@ class TestDriverValidation:
         game = _random_game(16, n=6)
         metric = EuclideanMetric.random_uniform(6, dim=2, seed=0)
         with pytest.raises(ValueError, match="requires shards"):
-            BestResponseDynamics(game, shard_placement="process")
+            BestResponseDynamics(game, shard_placement="socket")
         with pytest.raises(ValueError, match="requires shards"):
             SimulationEngine(game, shard_placement="local")
         with pytest.raises(ValueError, match="requires shards"):
-            ChurnSimulation(metric, alpha=1.0, shard_placement="process")
+            ChurnSimulation(metric, alpha=1.0, shard_placement="socket")
         with pytest.raises(ValueError, match="requires shards"):
-            game.make_evaluator(placement="process")
+            game.make_evaluator(placement="socket")
 
     def test_unknown_placement_rejected(self):
         game = _random_game(16, n=6)
@@ -391,10 +395,10 @@ class TestDriverValidation:
     def test_make_evaluator_builds_process_placement(self):
         game = _random_game(17, n=8)
         with game.make_evaluator(
-            shards=2, placement="process"
+            shards=2, placement="socket"
         ) as evaluator:
             assert isinstance(evaluator, ShardedEvaluator)
-            assert evaluator.placement == "process"
+            assert evaluator.placement == "socket"
             assert evaluator.worker_pool is not None
 
     def test_build_sharded_evaluator_defaults(self):
@@ -403,12 +407,6 @@ class TestDriverValidation:
         assert evaluator.placement == "local"
         assert evaluator.num_shards == 3
         evaluator.close()
-
-
-def _leaked_shard_sockets():
-    return glob.glob(
-        os.path.join(tempfile.gettempdir(), "repro-shard-*.sock")
-    )
 
 
 def _open_fds():
@@ -462,7 +460,6 @@ class TestSocketPlacement:
                 assert got[1] == expected[1]
 
     def test_hostless_placement_forks_one_process_per_shard(self):
-        sockets_before = set(_leaked_shard_sockets())
         fds_before = _open_fds()
         game = _random_game(19, n=9)
         evaluator = ShardedEvaluator(
@@ -484,13 +481,12 @@ class TestSocketPlacement:
             if child.name.startswith("repro-shard-")
         ]
         assert _open_fds() <= fds_before
-        assert set(_leaked_shard_sockets()) == sockets_before
 
     @pytest.mark.parametrize("shards", SHARD_COUNTS)
     def test_dynamics_identical_across_every_placement(self, shards):
         game = _random_game(21, n=11, alpha=1.5)
         reference = BestResponseDynamics(game).run(max_rounds=60)
-        for placement in ("local", "process", "socket"):
+        for placement in ("local", "socket"):
             with BestResponseDynamics(
                 TopologyGame(game.metric, game.alpha),
                 shards=shards,
@@ -540,7 +536,14 @@ class TestSocketPlacement:
             assert evaluator.stats.distance_block_builds == 0
 
     def test_no_socket_files_leak(self):
-        before = set(_leaked_shard_sockets())
+        """Leaving the ``with`` block closes the coordinator's socketpair
+        ends, so no socket outlives the evaluator as an open file
+        descriptor, and reaps every forked shard.
+
+        This is the context-manager twin of the ``close()`` teardown
+        checks in ``test_hostless_placement_forks_one_process_per_shard``.
+        """
+        fds_before = _open_fds()
         game = _random_game(24, n=8)
         with ShardedEvaluator(
             game,
@@ -549,82 +552,14 @@ class TestSocketPlacement:
             placement="socket",
         ) as evaluator:
             evaluator.social_cost()
-        leaked = set(_leaked_shard_sockets()) - before
-        assert not leaked, f"leaked socket files: {sorted(leaked)}"
-
-
-class TestShardSideSolves:
-    """``backend="shard"``: solves co-locate with the owning shard."""
-
-    @pytest.mark.parametrize("placement", ["process", "socket"])
-    def test_engine_identical_with_shard_backend(self, placement):
-        game = _random_game(25, n=13, alpha=1.0)
-        reference = SimulationEngine(
-            game, method="greedy", activation="max-gain"
-        ).run(max_rounds=30)
-        with SimulationEngine(
-            TopologyGame(game.metric, game.alpha),
-            method="greedy",
-            activation="max-gain",
-            shards=3,
-            shard_placement=placement,
-            backend="shard",
-        ) as engine:
-            report = engine.run(max_rounds=30)
-            stats = engine.evaluator.stats
-        assert report.profile.key() == reference.profile.key()
-        assert report.moves == reference.moves
-        assert stats.distance_resident_peak_bytes == 0
-
-    def test_exact_sweep_identical_with_shard_backend(self):
-        game = _random_game(26, n=10)
-        profile = game.random_profile(0.4, seed=11)
-        reference = GameEvaluator(game, profile)
-        expected = _response_tuples(reference.gain_sweep("exact"))
-        with ShardedEvaluator(
-            game, profile, shards=2, placement="socket"
-        ) as evaluator:
-            got = _response_tuples(
-                evaluator.gain_sweep("exact", backend="shard")
-            )
-        assert got == expected
-
-    def test_workers_memoize_unchanged_matrices(self):
-        game = _random_game(27, n=10)
-        profile = game.random_profile(0.4, seed=12)
-        with ShardedEvaluator(
-            game, profile, shards=2, placement="process"
-        ) as evaluator:
-            evaluator.gain_sweep("greedy", backend="shard")
-            evaluator.gain_sweep("greedy", backend="shard")
-            stats = evaluator.shard_worker_stats()
-        total_solves = sum(s["response_solves"] for s in stats)
-        total_memo = sum(s["response_memo_hits"] for s in stats)
-        assert total_solves > 0
-        # Second sweep over an unchanged profile: every solve memoized.
-        assert total_memo >= game.n
-
-    def test_plain_evaluator_rejects_shard_backend(self):
-        game = _random_game(28, n=6)
-        evaluator = GameEvaluator(game, game.random_profile(0.3, seed=13))
-        with pytest.raises(ValueError, match="ShardedEvaluator"):
-            evaluator.gain_sweep("greedy", backend="shard")
-
-    def test_local_placement_rejects_shard_backend(self):
-        game = _random_game(28, n=6)
-        with ShardedEvaluator(game, shards=2) as evaluator:
-            with pytest.raises(ValueError, match="process.*socket"):
-                evaluator.gain_sweep("greedy", backend="shard")
-
-    def test_unbound_backend_has_a_clear_error(self):
-        backend = ShardSolverBackend()
-        assert backend.wants_tasks and not backend.distributed
-        with pytest.raises(ShardWorkerError, match="no live worker pool"):
-            backend.run_solves(
-                [0],
-                lambda peer: None,
-                make_task=lambda peer: (None, peer, (), 1.0, "greedy"),
-            )
+            pids = [t._process.pid for t in evaluator.worker_pool._transports]
+        assert not [
+            child
+            for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard-")
+        ]
+        assert not any(_pid_exists(pid) for pid in pids)
+        assert _open_fds() <= fds_before
 
 
 class TestSocketFailureHandling:
@@ -646,7 +581,6 @@ class TestSocketFailureHandling:
         assert pool.closed
 
     def test_close_after_worker_death_reaps_everything(self):
-        before = set(_leaked_shard_sockets())
         game = _random_game(30, n=8)
         pool = ShardWorkerPool(ShardPlan.build(game.n, 3), game.distance_matrix)
         pool.reset(game.empty_profile())
@@ -659,8 +593,6 @@ class TestSocketFailureHandling:
         assert pool.closed
         assert pool.alive_workers() == 0
         assert not any(_pid_exists(pid) for pid in pids)
-        leaked = set(_leaked_shard_sockets()) - before
-        assert not leaked, f"leaked socket files: {sorted(leaked)}"
 
     def test_pipe_worker_death_still_raises_named_error(self):
         # The pipelined fan-out path must preserve the failure contract

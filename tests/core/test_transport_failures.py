@@ -123,6 +123,20 @@ class TestForkedMessageContract:
         finally:
             transport.close()
 
+    def test_solve_request_is_refused_and_the_worker_lives_on(self):
+        """Shard workers serve distances only: ``solve`` is an unknown
+        request, answered with an error reply on a stream that stays up."""
+        transport = SocketTransport.forked(0, 2, dmat())
+        try:
+            with pytest.raises(
+                ShardWorkerError,
+                match="unknown shard-worker request 'solve'",
+            ):
+                transport.request(("solve", (), 1.0, "greedy"))
+            assert transport.request(("ping",)) == "pong"
+        finally:
+            transport.close()
+
     def test_closed_transport_says_so(self):
         transport = SocketTransport.forked(0, 2, dmat())
         transport.close()

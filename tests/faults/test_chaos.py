@@ -116,7 +116,7 @@ class TestServiceStateFaultPlan:
             initial_active=range(N),
             journal=journal,
             shards=2,
-            shard_placement="process",
+            shard_placement="socket",
             fault_plan=plan,
         ) as state:
             for _ in range(2):
@@ -146,7 +146,7 @@ class TestServiceStateFaultPlan:
             ALPHA,
             initial_active=range(N),
             shards=2,
-            shard_placement="process",
+            shard_placement="socket",
             fault_plan=plan,
             recovery=8,
         ) as state:

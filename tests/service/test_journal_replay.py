@@ -173,9 +173,9 @@ class TestReplayIdentity:
         [
             {"workers": 2, "backend": "process"},
             {"shards": 2},
-            {"shards": 2, "shard_placement": "process"},
+            {"shards": 2, "shard_placement": "socket"},
         ],
-        ids=["process-backend", "sharded-local", "sharded-process"],
+        ids=["process-backend", "sharded-local", "sharded-socket"],
     )
     def test_replay_is_execution_invariant(self, options):
         metric = _metric(14, seed=6)

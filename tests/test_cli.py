@@ -35,7 +35,7 @@ class TestParser:
         parser = build_parser()
         assert parser.parse_args(["run", "E9"]).backend is None
         for command in (["run", "E9"], ["run-all"], ["demo"]):
-            for backend in ("serial", "process", "shard"):
+            for backend in ("serial", "process"):
                 args = parser.parse_args(command + ["--backend", backend])
                 assert args.backend == backend
 
@@ -50,17 +50,28 @@ class TestParser:
         assert excinfo.value.code == 2
         assert "invalid choice: 'thread'" in capsys.readouterr().err
 
+    def test_removed_shard_backend_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                [
+                    "run", "E9",
+                    "--shards", "2",
+                    "--shard-placement", "socket",
+                    "--backend", "shard",
+                ]
+            )
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'shard'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "backend_flags",
-        [[], ["--backend", "serial"], ["--backend", "shard"]],
-        ids=["default", "serial", "shard"],
+        [[], ["--backend", "serial"]],
+        ids=["default", "serial"],
     )
     def test_workers_without_process_backend_rejected(
         self, backend_flags, capsys
     ):
         argv = ["run", "E9", "--workers", "2"] + backend_flags
-        if backend_flags[-1:] == ["shard"]:
-            argv += ["--shards", "2", "--shard-placement", "process"]
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
@@ -107,7 +118,7 @@ class TestParser:
         parser = build_parser()
         assert parser.parse_args(["run", "E9"]).shard_placement is None
         for command in (["run", "E9"], ["run-all"], ["demo"]):
-            for placement in ("local", "process"):
+            for placement in ("local", "socket"):
                 args = parser.parse_args(
                     command
                     + ["--shards", "2", "--shard-placement", placement]
@@ -123,9 +134,15 @@ class TestParser:
 
     def test_shard_placement_without_shards_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            main(["run", "E9", "--shard-placement", "process"])
+            main(["run", "E9", "--shard-placement", "socket"])
         assert excinfo.value.code == 2
         assert "--shard-placement needs --shards" in capsys.readouterr().err
+
+    def test_removed_process_placement_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "E9", "--shards", "2", "--shard-placement", "process"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
 
     def test_removed_max_resident_shards_flag_rejected(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -140,11 +157,11 @@ class TestParser:
             [
                 "run", "E9",
                 "--shards", "4",
-                "--shard-placement", "process",
+                "--shard-placement", "socket",
             ]
         )
         assert args.shards == 4
-        assert args.shard_placement == "process"
+        assert args.shard_placement == "socket"
 
     def test_shards_exceeding_population_is_a_clean_error(self, capsys):
         # Validated by the experiment runner (the CLI cannot know n):
